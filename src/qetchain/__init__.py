@@ -17,13 +17,11 @@ from .chain_model import (
 from .gaussian_state import (
     CovarianceMatrix,
     NumericsError,
-    SymplecticSpectrum,
     log_negativity,
     mutual_information,
     partial_transpose,
     reduce,
     symplectic_eigenvalues,
-    symplectic_form,
     von_neumann_entropy,
 )
 from .povm_measurement import (

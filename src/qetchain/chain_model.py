@@ -73,7 +73,7 @@ def dispersion(params: ChainParams, k: int) -> float:
     """Frequency of normal mode k, 0 <= k < n_sites."""
     if not 0 <= k < params.n_sites:
         raise ValueError(f"mode index {k} out of range for N={params.n_sites}")
-    return float(np.sqrt(1.0 - params.alpha * np.cos(2.0 * np.pi * k / params.n_sites)))
+    return float(mode_frequencies(params.n_sites, params.alpha)[k])
 
 
 def correlation_vectors(n_sites: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -122,15 +122,11 @@ def correlation_submatrices(params: ChainParams, row_sites, col_sites) -> tuple[
 
 
 def ground_covariance(params: ChainParams) -> CovarianceMatrix:
-    """Full-chain ground-state covariance in interleaved (q, p) ordering.
+    """Full-chain ground-state covariance: position block G, momentum block H.
 
-    Position and momentum sectors are uncorrelated; the ground state is
-    pure, so every symplectic eigenvalue equals 1/2.
+    The ground state is pure, so every symplectic eigenvalue equals 1/2.
     """
     corr = build_correlations(params)
     n = params.n_sites
     dist = _distance_table(range(n), range(n), n)
-    m = np.zeros((2 * n, 2 * n))
-    m[0::2, 0::2] = corr.g[dist]
-    m[1::2, 1::2] = corr.h[dist]
-    return CovarianceMatrix(m)
+    return CovarianceMatrix(corr.g[dist], corr.h[dist])

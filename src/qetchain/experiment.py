@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .chain_model import ChainParams
+from .gaussian_state import NumericsError
 from .qet_protocol import run_setting1, run_setting2
 
 ALPHA_PRESETS = {
@@ -100,13 +101,21 @@ class PowerLawFit:
     window: tuple[float, float]
 
 
-def _map_ordered(fn: Callable, items: Iterable, threads: int) -> list:
+def _map_ordered(fn: Callable, items: Iterable, threads: int, grid: str) -> list:
+    """fn over items in grid order; a numerical failure is re-raised naming its grid point."""
+
+    def labelled(item):
+        try:
+            return fn(item)
+        except (NumericsError, np.linalg.LinAlgError) as exc:
+            raise type(exc)(f"{grid}={item}: {exc}") from exc
+
     items = list(items)
     if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [labelled(item) for item in items]
     workers = threads if threads > 0 else min(len(items), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(labelled, items))
 
 
 def sweep_setting1(config: RunConfig) -> SweepTable:
@@ -128,7 +137,7 @@ def sweep_setting1(config: RunConfig) -> SweepTable:
             rep.delta_mutual_information,
         )
 
-    rows = _map_ordered(row, range(config.d_max + 1), config.threads)
+    rows = _map_ordered(row, range(config.d_max + 1), config.threads, "d")
     return SweepTable(
         columns=("d", "E_B_opt", "E_N_before", "E_N_after", "delta_E_N",
                  "S_M_before", "S_M_after", "delta_S_M"),
@@ -151,7 +160,7 @@ def sweep_setting2(config: RunConfig) -> SweepTable:
         e_abs = abs(rep.optimized_energy)
         return (ell, delta, e_abs, e_abs / delta)
 
-    rows = _map_ordered(row, range(lo, hi + 1), config.threads)
+    rows = _map_ordered(row, range(lo, hi + 1), config.threads, "ell")
     return SweepTable(columns=("ell", "delta_E_N", "E_B_abs", "ratio"), rows=tuple(rows))
 
 
@@ -167,7 +176,7 @@ def sweep_size(config: RunConfig) -> SweepTable:
         e_abs = abs(rep.optimized_energy)
         return (n, delta, e_abs, e_abs / delta)
 
-    rows = _map_ordered(row, config.n_list, config.threads)
+    rows = _map_ordered(row, config.n_list, config.threads, "N")
     return SweepTable(columns=("N", "delta_E_N", "E_B_abs", "beta"), rows=tuple(rows))
 
 

@@ -1,9 +1,16 @@
-"""Covariance-matrix algebra for Gaussian states.
+"""Covariance-matrix algebra for Gaussian states with uncorrelated q and p sectors.
 
-All states are carried as real symmetric covariance matrices over the
-canonical variables in interleaved ordering (q0, p0, q1, p1, ...), with
-entries V[j, k] = (1/2)<x_j x_k + x_k x_j> - <x_j><x_k>.  Physical states
-have every symplectic eigenvalue >= 1/2 (vacuum units, hbar = 1).
+Every state in this package (the chain's ground state, the state after a
+coherent-state measurement, and their reductions and partial transposes)
+has zero q-p cross-covariance.  A state is therefore carried as two real
+symmetric n x n blocks, Q[j, k] = <q_j q_k> and P[j, k] = <p_j p_k>
+(symmetrized second moments, zero means).  Physical states have every
+symplectic eigenvalue >= 1/2 (vacuum units, hbar = 1).
+
+The symplectic eigenvalues are the square roots of the eigenvalues of the
+symmetric matrix L^T P L, where Q = L L^T is the Cholesky factorization
+(Audenaert, Eisert, Plenio and Werner, PRA 66, 042327 (2002)).  A partial
+transpose flips the sign of the transposed modes' momenta: P -> D P D.
 
 Entanglement bookkeeping follows the usual continuous-variable recipe:
 logarithmic negativity from the partially transposed covariance matrix in
@@ -18,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
-# Tolerance for discarding tiny negative eigenvalues of -(Omega V)^2.
-SPECTRUM_TOL = 1e-9
 # A symplectic eigenvalue this far below 1/2 means the state is unphysical.
 PHYSICALITY_TOL = 1e-6
 
@@ -28,100 +33,91 @@ class NumericsError(RuntimeError):
     """A linear-algebra result fell outside its validity tolerance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CovarianceMatrix:
-    """Symmetric 2n x 2n second-moment matrix in interleaved (q, p) ordering."""
+    """Position block q and momentum block p of a state without q-p correlations.
 
-    matrix: np.ndarray
+    CovarianceMatrix(q, p) takes the two symmetric n x n blocks.
+    CovarianceMatrix(m) takes one symmetric 2n x 2n matrix in interleaved
+    (q0, p0, q1, p1, ...) ordering and rejects q-p cross terms beyond 1e-12.
+    """
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-            raise ValueError(f"covariance matrix must be square with even size, got {m.shape}")
-        if np.abs(m - m.T).max() > SYMMETRY_TOL:
-            raise ValueError("covariance matrix is not symmetric within 1e-12")
-        object.__setattr__(self, "matrix", (m + m.T) / 2)
+    q: np.ndarray
+    p: np.ndarray
+
+    def __init__(self, q, p=None):
+        q = np.asarray(q, dtype=float)
+        if p is None:
+            if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] % 2 != 0:
+                raise ValueError(f"covariance matrix must be square with even size, got {q.shape}")
+            cross = max(np.abs(q[0::2, 1::2]).max(), np.abs(q[1::2, 0::2]).max())
+            if cross > SYMMETRY_TOL:
+                raise ValueError(f"covariance matrix has q–p cross terms up to {cross:.3e}, beyond 1e-12")
+            q, p = q[0::2, 0::2], q[1::2, 1::2]
+        p = np.asarray(p, dtype=float)
+        if q.ndim != 2 or q.shape[0] != q.shape[1] or p.shape != q.shape:
+            raise ValueError(f"q and p blocks must be square of equal size, got {q.shape} and {p.shape}")
+        for block in (q, p):
+            if np.abs(block - block.T).max() > SYMMETRY_TOL:
+                raise ValueError("covariance matrix is not symmetric within 1e-12")
+        object.__setattr__(self, "q", (q + q.T) / 2)
+        object.__setattr__(self, "p", (p + p.T) / 2)
 
     @property
     def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-
-@dataclass(frozen=True)
-class SymplecticSpectrum:
-    """Symplectic eigenvalues of a covariance matrix, sorted ascending."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or np.any(v < 0):
-            raise ValueError("spectrum must be a vector of non-negative reals")
-        object.__setattr__(self, "values", np.sort(v))
+        return self.q.shape[0]
 
     @property
-    def n_modes(self) -> int:
-        return self.values.size
+    def matrix(self) -> np.ndarray:
+        """The read-only 2n x 2n matrix in interleaved (q0, p0, q1, p1, ...) ordering."""
+        m = np.zeros((2 * self.n_modes, 2 * self.n_modes))
+        m[0::2, 0::2] = self.q
+        m[1::2, 1::2] = self.p
+        m.flags.writeable = False
+        return m
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form with 2x2 blocks [[0, 1], [-1, 0]]."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    idx = np.arange(n_modes)
-    omega[2 * idx, 2 * idx + 1] = 1.0
-    omega[2 * idx + 1, 2 * idx] = -1.0
-    return omega
-
-
-def _mode_indices(sites, n_modes: int) -> np.ndarray:
+def _mode_indices(sites, n_modes: int) -> list[int]:
     sites = list(sites)
     if len(set(sites)) != len(sites):
         raise ValueError(f"duplicate mode indices in {sites}")
     for s in sites:
         if not 0 <= s < n_modes:
             raise ValueError(f"mode index {s} out of range for {n_modes} modes")
-    return np.array([j for s in sites for j in (2 * s, 2 * s + 1)], dtype=int)
+    return sites
 
 
-def symplectic_eigenvalues(V: CovarianceMatrix) -> SymplecticSpectrum:
-    """Symplectic spectrum of a covariance matrix.
+def symplectic_eigenvalues(V: CovarianceMatrix) -> np.ndarray:
+    """Symplectic spectrum of a covariance matrix, sorted ascending.
 
-    Computed as the positive square roots of the eigenvalues of
-    -(Omega V)^2, which come in coincident pairs; adjacent sorted pairs are
-    averaged to defeat round-off splitting.  Eigenvalues with real part
-    below -1e-9 signal an invalid input and are rejected.
+    Square roots of the eigenvalues of L^T P L with Q = L L^T.  Q must be
+    positive definite (LinAlgError otherwise); a negative eigenvalue of
+    L^T P L means P is indefinite and raises NumericsError.
     """
-    m = V.matrix
-    a = symplectic_form(V.n_modes) @ m
-    ev = np.linalg.eigvals(-(a @ a))
-    ev = ev.real if np.iscomplexobj(ev) else ev
-    if ev.min() < -SPECTRUM_TOL:
-        raise NumericsError(f"eigenvalue {ev.min():.3e} of -(Omega V)^2 is negative beyond tolerance")
-    nu = np.sqrt(np.clip(np.sort(ev), 0.0, None))
-    return SymplecticSpectrum((nu[0::2] + nu[1::2]) / 2)
+    chol = np.linalg.cholesky(V.q)
+    nu2 = np.linalg.eigvalsh(chol.T @ V.p @ chol)
+    if nu2[0] < 0.0:
+        raise NumericsError(f"eigenvalue {nu2[0]:.3e} of L^T P L is negative: momentum block is indefinite")
+    return np.sqrt(nu2)
 
 
 def reduce(V: CovarianceMatrix, sites) -> CovarianceMatrix:
-    """Principal submatrix on the given modes, their (q, p) rows kept in order."""
-    sites = list(sites)
+    """Principal blocks on the given modes, kept in the given order."""
+    sites = _mode_indices(sites, V.n_modes)
     if not sites:
         raise ValueError("cannot reduce to an empty mode subset")
-    idx = _mode_indices(sites, V.n_modes)
-    return CovarianceMatrix(V.matrix[np.ix_(idx, idx)])
+    idx = np.ix_(sites, sites)
+    return CovarianceMatrix(V.q[idx], V.p[idx])
 
 
 def partial_transpose(V: CovarianceMatrix, b_sites) -> CovarianceMatrix:
-    """Flip the sign of the momentum rows/columns of the given modes.
+    """Flip the sign of the momenta of the given modes: P -> D P D.
 
     Phase-space transcription of transposing party B; an involution.
     """
-    b_sites = list(b_sites)
-    _mode_indices(b_sites, V.n_modes)
-    m = V.matrix.copy()
-    p_rows = [2 * s + 1 for s in b_sites]
-    m[p_rows, :] *= -1.0
-    m[:, p_rows] *= -1.0
-    return CovarianceMatrix(m)
+    flip = np.ones(V.n_modes)
+    flip[_mode_indices(b_sites, V.n_modes)] = -1.0
+    return CovarianceMatrix(V.q, flip[:, None] * V.p * flip[None, :])
 
 
 def log_negativity(V: CovarianceMatrix, b_sites) -> float:
@@ -130,7 +126,7 @@ def log_negativity(V: CovarianceMatrix, b_sites) -> float:
     Zero whenever the partially transposed spectrum stays at or above 1/2,
     which is the separability test for this bipartition.
     """
-    nu = symplectic_eigenvalues(partial_transpose(V, b_sites)).values
+    nu = symplectic_eigenvalues(partial_transpose(V, b_sites))
     return float(-np.sum(np.minimum(0.0, np.log2(2.0 * nu)))) + 0.0  # avoid -0.0
 
 
@@ -146,7 +142,7 @@ def _entropy_terms(nu: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(V: CovarianceMatrix) -> float:
     """Entropy (natural-log units) of a Gaussian state from its symplectic spectrum."""
-    nu = symplectic_eigenvalues(V).values
+    nu = symplectic_eigenvalues(V)
     if nu.min() < 0.5 - PHYSICALITY_TOL:
         raise NumericsError(f"symplectic eigenvalue {nu.min():.6g} < 1/2: unphysical state")
     return float(np.sum(_entropy_terms(nu)))

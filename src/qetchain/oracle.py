@@ -222,9 +222,5 @@ def fock_log_negativity(state: FockState) -> float:
 def two_mode_ground_covariance(alpha: float) -> CovarianceMatrix:
     """Gaussian description of the coupled pair, for cross-checks against the Fock route."""
     g, h = correlation_vectors(2, alpha)
-    m = np.zeros((4, 4))
-    m[0, 0] = m[2, 2] = g[0]
-    m[1, 1] = m[3, 3] = h[0]
-    m[0, 2] = m[2, 0] = g[1]
-    m[1, 3] = m[3, 1] = h[1]
-    return CovarianceMatrix(m)
+    dist = np.array([[0, 1], [1, 0]])
+    return CovarianceMatrix(g[dist], h[dist])

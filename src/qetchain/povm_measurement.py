@@ -50,8 +50,6 @@ class OutcomeDistribution:
 
     x_covariance: np.ndarray
     p_covariance: np.ndarray
-    mean_x: np.ndarray
-    mean_p: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,24 +89,25 @@ def build_m_matrix(params: ChainParams, spec: MeasurementSpec) -> np.ndarray:
 
 
 def post_measurement_covariance(params: ChainParams, spec: MeasurementSpec) -> PostMeasurementState:
-    """Assemble the full post-measurement covariance in canonical ordering.
+    """Assemble the full post-measurement position and momentum blocks.
 
-    Measured sites carry the coherent-state blocks diag(1/(2 omega),
-    omega/2); unmeasured sites carry (1/4) M^{-1} and M; every cross block
-    between the two groups vanishes identically.
+    Measured sites carry the coherent-state variances 1/(2 omega) and
+    omega/2; the unmeasured sites carry (1/4) M^{-1} and M; every cross
+    block between the two groups vanishes identically.
     """
     m = build_m_matrix(params, spec)
     m_inv = cho_solve(cho_factor(m), np.eye(m.shape[0]))
     m_inv = (m_inv + m_inv.T) / 2
     n = params.n_sites
-    v = np.zeros((2 * n, 2 * n))
-    for s in spec.measured_sites:
-        v[2 * s, 2 * s] = 1.0 / (2.0 * spec.omega)
-        v[2 * s + 1, 2 * s + 1] = spec.omega / 2.0
-    rest = np.array(unmeasured_sites(params, spec), dtype=int)
-    v[np.ix_(2 * rest, 2 * rest)] = m_inv / 4.0
-    v[np.ix_(2 * rest + 1, 2 * rest + 1)] = m
-    return PostMeasurementState(covariance=CovarianceMatrix(v), m_matrix=m)
+    q, p = np.zeros((n, n)), np.zeros((n, n))
+    meas = list(spec.measured_sites)
+    q[meas, meas] = 1.0 / (2.0 * spec.omega)
+    p[meas, meas] = spec.omega / 2.0
+    rest = unmeasured_sites(params, spec)
+    block = np.ix_(rest, rest)
+    q[block] = m_inv / 4.0
+    p[block] = m
+    return PostMeasurementState(covariance=CovarianceMatrix(q, p), m_matrix=m)
 
 
 def outcome_distribution(params: ChainParams, spec: MeasurementSpec) -> OutcomeDistribution:
@@ -120,8 +119,6 @@ def outcome_distribution(params: ChainParams, spec: MeasurementSpec) -> OutcomeD
     return OutcomeDistribution(
         x_covariance=c_block + eye / (2.0 * spec.omega),
         p_covariance=l_block + (spec.omega / 2.0) * eye,
-        mean_x=np.zeros(len(meas)),
-        mean_p=np.zeros(len(meas)),
     )
 
 
@@ -134,7 +131,7 @@ def sample_outcomes(dist: OutcomeDistribution, seed: int, count: int) -> tuple[n
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    m = dist.mean_x.size
+    m = dist.x_covariance.shape[0]
     xs = rng.standard_normal((count, m)) @ np.linalg.cholesky(dist.x_covariance).T
     ps = rng.standard_normal((count, m)) @ np.linalg.cholesky(dist.p_covariance).T
-    return xs + dist.mean_x, ps + dist.mean_p
+    return xs, ps

@@ -146,5 +146,5 @@ class TestGroundCovariance:
     @pytest.mark.parametrize("n,alpha", [(4, 0.9), (10, 0.5), (100, A4)])
     def test_ground_state_is_pure(self, n, alpha):
         v = ground_covariance(ChainParams(n_sites=n, alpha=alpha))
-        nu = symplectic_eigenvalues(v).values
+        nu = symplectic_eigenvalues(v)
         np.testing.assert_allclose(nu, 0.5, atol=1e-9)

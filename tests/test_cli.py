@@ -62,6 +62,21 @@ class TestExitCodes:
         assert cli_main(["setting1", "--n", "20", "--alpha", "a1"]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_failing_row_names_its_grid_point(self, monkeypatch, capsys):
+        import qetchain.experiment as experiment
+
+        real = experiment.run_setting2
+
+        def flaky(params, ell):
+            if ell == 37:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return real(params, ell)
+
+        monkeypatch.setattr(experiment, "run_setting2", flaky)
+        assert cli_main(["setting2", "--n", "100", "--alpha", "a1", "--ell-min", "36", "--ell-max", "38"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "ell=37" in err and "synthetic failure" in err
+
 
 class TestConfigFile:
     def test_file_values_used(self, tmp_path):

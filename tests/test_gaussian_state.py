@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qetchain import (
     ChainParams,
@@ -30,6 +32,52 @@ def vacuum(n_modes):
     return CovarianceMatrix(0.5 * np.eye(2 * n_modes))
 
 
+def interleaved_symplectic_eigenvalues(m):
+    """Slow reference: square roots of the eigenvalues of -(Omega V)^2, paired.
+
+    Works on the interleaved 2n x 2n matrix and needs no q-p structure.
+    """
+    n = m.shape[0] // 2
+    omega = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+    a = omega @ m
+    ev = np.sort(np.linalg.eigvals(-(a @ a)).real)
+    nu = np.sqrt(np.clip(ev, 0.0, None))
+    return (nu[0::2] + nu[1::2]) / 2
+
+
+def assert_matches_interleaved(nu, m):
+    """nu against the slow reference, at the reference's own accuracy.
+
+    The eigenvalues of -(Omega V)^2 carry absolute round-off of order
+    eps ||V||^2, which is large relative to nu^2 for strongly squeezed or
+    partially transposed states, so nu^2 is compared with that floor.
+    """
+    ref = interleaved_symplectic_eigenvalues(m)
+    floor = 1e-12 * np.abs(m).sum(axis=1).max() ** 2
+    np.testing.assert_allclose(nu**2, ref**2, rtol=1e-9, atol=floor)
+
+
+@st.composite
+def physical_states(draw):
+    """(Q, P, nu, flips) with Q = A diag(nu) A^T and P = A^-T diag(nu) A^-1.
+
+    A = U diag(s) W with orthogonal U, W and s in [0.2, 5], so cond(A) <= 25;
+    flips marks the modes of a random partial-transpose subset.
+    """
+    n = draw(st.integers(1, 6))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    nu = np.array(draw(st.lists(st.floats(0.5, 10.0), min_size=n, max_size=n)))
+    s = np.array(draw(st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n)))
+    u, _ = np.linalg.qr(np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n))
+    w, _ = np.linalg.qr(np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n))
+    a = u @ np.diag(s) @ w
+    a_inv = w.T @ np.diag(1.0 / s) @ u.T
+    q = a @ np.diag(nu) @ a.T
+    p = a_inv.T @ np.diag(nu) @ a_inv
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return (q + q.T) / 2, (p + p.T) / 2, np.sort(nu), [j for j in range(n) if flips[j]]
+
+
 class TestCovarianceMatrix:
     def test_rejects_asymmetric(self):
         m = 0.5 * np.eye(4)
@@ -41,18 +89,52 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError):
             CovarianceMatrix(np.eye(3))
 
+    def test_rejects_asymmetric_sector_entry(self):
+        m = 0.5 * np.eye(4)
+        m[0, 2] = 1e-6  # q0 q1: inside the position sector
+        with pytest.raises(ValueError, match="symmetric"):
+            CovarianceMatrix(m)
+        q = 0.5 * np.eye(2)
+        q[1, 0] = 1e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            CovarianceMatrix(0.5 * np.eye(2), q)
+
+    def test_rejects_symmetric_cross_terms(self):
+        m = 0.5 * np.eye(4)
+        m[0, 3] = m[3, 0] = 1e-6  # q0 p1
+        with pytest.raises(ValueError, match="cross terms"):
+            CovarianceMatrix(m)
+
 
 class TestSymplecticEigenvalues:
     def test_vacuum_is_exact(self):
-        assert np.all(symplectic_eigenvalues(vacuum(3)).values == 0.5)
+        assert np.all(symplectic_eigenvalues(vacuum(3)) == 0.5)
 
     def test_single_mode_squeezed_form(self):
         v = CovarianceMatrix(np.diag([2.0, 0.25]))
-        assert symplectic_eigenvalues(v).values[0] == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert symplectic_eigenvalues(v)[0] == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_ground_state_purity(self):
         v = ground_covariance(ChainParams(n_sites=4, alpha=0.9))
-        np.testing.assert_allclose(symplectic_eigenvalues(v).values, 0.5, atol=1e-9)
+        np.testing.assert_allclose(symplectic_eigenvalues(v), 0.5, atol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(physical_states())
+    def test_known_spectrum_and_interleaved_reference(self, state):
+        q, p, nu, flips = state
+        v = CovarianceMatrix(q, p)
+        got = symplectic_eigenvalues(v)
+        np.testing.assert_allclose(got, nu, rtol=1e-9)
+        assert_matches_interleaved(got, v.matrix)
+        # The partial transpose is the interleaved momentum sign flip, and
+        # its (possibly sub-1/2) spectrum matches the interleaved route too.
+        flipped = v.matrix.copy()
+        rows = [2 * j + 1 for j in flips]
+        flipped[rows, :] *= -1.0
+        flipped[:, rows] *= -1.0
+        pt = partial_transpose(v, flips)
+        np.testing.assert_array_equal(pt.matrix, flipped)
+        assert_matches_interleaved(symplectic_eigenvalues(pt), flipped)
 
 
 class TestReduce:
@@ -88,7 +170,7 @@ class TestPartialTranspose:
 
     def test_ground_state_half_chain_is_entangled(self):
         v = ground_covariance(ChainParams(n_sites=4, alpha=0.9))
-        nu = symplectic_eigenvalues(partial_transpose(v, [2, 3])).values
+        nu = symplectic_eigenvalues(partial_transpose(v, [2, 3]))
         assert nu.min() < 0.5
 
     def test_invalid_index(self):
