@@ -21,6 +21,7 @@ state, which forces the virial identity h_0 = g_0 - alpha g_1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,12 +77,16 @@ def dispersion(params: ChainParams, k: int) -> float:
     return float(mode_frequencies(params.n_sites, params.alpha)[k])
 
 
+# Sweeps ask for the same few (n_sites, alpha) pairs over and over; the
+# results are small (2N floats) and read-only, so sharing them is safe.
+@lru_cache(maxsize=16)
 def correlation_vectors(n_sites: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Correlator vectors (g, h) for any even ring size >= 2.
+    """Correlator vectors (g, h) for any even ring size >= 2, as read-only arrays.
 
-    Direct O(N) mode sum per separation r (no FFT; N stays small here).
-    Accepts n_sites = 2 so that exact two-oscillator cross-checks can reuse
-    the same sums that ChainParams-based code does.
+    Direct O(N) mode sum per separation r (no FFT; N stays small here),
+    memoised per (n_sites, alpha).  Accepts n_sites = 2 so that exact
+    two-oscillator cross-checks can reuse the same sums that
+    ChainParams-based code does.
     """
     if n_sites < 2 or n_sites % 2 != 0:
         raise ValueError(f"ring size must be even and >= 2, got {n_sites}")
@@ -90,6 +95,8 @@ def correlation_vectors(n_sites: int, alpha: float) -> tuple[np.ndarray, np.ndar
     cos_table = np.cos(np.outer(np.arange(n_sites), theta))
     g = cos_table @ (1.0 / (2.0 * w)) / n_sites
     h = cos_table @ (w / 2.0) / n_sites
+    g.setflags(write=False)
+    h.setflags(write=False)
     return g, h
 
 

@@ -6,13 +6,16 @@ against the antipodal target (setting2), and a system-size sweep at the
 maximal block ell = N/2 - 2 (size-sweep).  Rows are pure functions of the
 configuration, evaluated optionally in a thread pool but always merged in
 grid order, and floats are serialized with 12 significant digits so that
-repeated runs produce byte-identical files.
+repeated runs produce byte-identical files.  The separation sweep builds
+its ground and post-measurement states once and shares them, read-only,
+across its rows.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from .chain_model import ChainParams
 from .gaussian_state import NumericsError
-from .qet_protocol import run_setting1, run_setting2
+from .qet_protocol import run_setting2, setting1_report, setting1_states
 
 ALPHA_PRESETS = {
     "a1": 0.90,
@@ -101,14 +104,21 @@ class PowerLawFit:
     window: tuple[float, float]
 
 
+@contextmanager
+def _grid_point(label: str):
+    """Re-raise a numerical failure as the same type, its message prefixed by label."""
+    try:
+        yield
+    except (NumericsError, np.linalg.LinAlgError) as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
+
+
 def _map_ordered(fn: Callable, items: Iterable, threads: int, grid: str) -> list:
     """fn over items in grid order; a numerical failure is re-raised naming its grid point."""
 
     def labelled(item):
-        try:
+        with _grid_point(f"{grid}={item}"):
             return fn(item)
-        except (NumericsError, np.linalg.LinAlgError) as exc:
-            raise type(exc)(f"{grid}={item}: {exc}") from exc
 
     items = list(items)
     if threads == 1 or len(items) <= 1:
@@ -123,9 +133,11 @@ def sweep_setting1(config: RunConfig) -> SweepTable:
     params = config.params()
     if config.d_max + 1 >= params.n_sites:
         raise ValueError(f"d-max {config.d_max} does not fit on a ring of {params.n_sites} sites")
+    with _grid_point(f"N={params.n_sites}, alpha={params.alpha}"):
+        states = setting1_states(params)
 
     def row(d: int) -> tuple:
-        rep = run_setting1(params, d)
+        rep = setting1_report(states, d)
         return (
             d,
             rep.optimized_energy,

@@ -40,6 +40,7 @@ class CovarianceMatrix:
     CovarianceMatrix(q, p) takes the two symmetric n x n blocks.
     CovarianceMatrix(m) takes one symmetric 2n x 2n matrix in interleaved
     (q0, p0, q1, p1, ...) ordering and rejects q-p cross terms beyond 1e-12.
+    Both blocks are read-only, so one state can be shared across threads.
     """
 
     q: np.ndarray
@@ -60,8 +61,11 @@ class CovarianceMatrix:
         for block in (q, p):
             if np.abs(block - block.T).max() > SYMMETRY_TOL:
                 raise ValueError("covariance matrix is not symmetric within 1e-12")
-        object.__setattr__(self, "q", (q + q.T) / 2)
-        object.__setattr__(self, "p", (p + p.T) / 2)
+        q, p = (q + q.T) / 2, (p + p.T) / 2
+        q.setflags(write=False)
+        p.setflags(write=False)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
 
     @property
     def n_modes(self) -> int:

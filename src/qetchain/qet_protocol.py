@@ -20,7 +20,10 @@ strictly negative whenever either coupling vector is nonzero.
 Two standard site layouts are provided: a single measured site against a
 single target at separation d (run_setting1), and a measured block of
 2 ell + 1 sites against the antipodal site with everything else grouped
-alongside the measured block (run_setting2).
+alongside the measured block (run_setting2).  Neither the ground state nor
+the post-measurement state depends on the target, so a run first builds
+both (build_states) and then accounts for one target; a separation sweep
+builds them once (setting1_states) and accounts per d (setting1_report).
 """
 
 from __future__ import annotations
@@ -31,8 +34,18 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .chain_model import ChainParams, build_correlations, ground_covariance
-from .gaussian_state import log_negativity, mutual_information, reduce
+from .gaussian_state import CovarianceMatrix, log_negativity, mutual_information, reduce
 from .povm_measurement import MeasurementSpec, post_measurement_covariance
+
+
+@dataclass(frozen=True)
+class ProtocolStates:
+    """The chain before and after one measurement; shared by every target."""
+
+    params: ChainParams
+    spec: MeasurementSpec
+    ground: CovarianceMatrix
+    measured: CovarianceMatrix
 
 
 @dataclass(frozen=True)
@@ -129,9 +142,18 @@ def plan_energy(quadratics: QetQuadratics, plan: DisplacementPlan) -> float:
     )
 
 
-def _report(params, spec, target, a_sites, b_sites, reduce_pair) -> QetReport:
-    v0 = ground_covariance(params)
-    vm = post_measurement_covariance(params, spec).covariance
+def build_states(params: ChainParams, spec: MeasurementSpec) -> ProtocolStates:
+    """Ground covariance and post-measurement covariance of the whole chain."""
+    return ProtocolStates(
+        params=params,
+        spec=spec,
+        ground=ground_covariance(params),
+        measured=post_measurement_covariance(params, spec).covariance,
+    )
+
+
+def _report(states: ProtocolStates, target, a_sites, b_sites, reduce_pair) -> QetReport:
+    v0, vm = states.ground, states.measured
     if reduce_pair:
         # Negativity of the (A : B) pair needs the two-party reduced state;
         # after reduction B is the last kept mode.
@@ -144,7 +166,7 @@ def _report(params, spec, target, a_sites, b_sites, reduce_pair) -> QetReport:
         e_n_after = log_negativity(vm, b_sites)
     s_m_before = mutual_information(v0, a_sites, b_sites)
     s_m_after = mutual_information(vm, a_sites, b_sites)
-    quad = build_quadratics(params, spec, target)
+    quad = build_quadratics(states.params, states.spec, target)
     return QetReport(
         optimized_energy=optimized_energy(quad),
         plan=optimal_plan(quad),
@@ -155,6 +177,23 @@ def _report(params, spec, target, a_sites, b_sites, reduce_pair) -> QetReport:
     )
 
 
+def setting1_states(params: ChainParams) -> ProtocolStates:
+    """States of setting 1: the single site 0 measured; independent of d."""
+    return build_states(params, MeasurementSpec(measured_sites=(0,), omega=params.omega))
+
+
+def setting1_report(states: ProtocolStates, d: int) -> QetReport:
+    """Setting-1 accounting for the target at d + 1, from setting1_states."""
+    if states.spec.measured_sites != (0,):
+        raise ValueError(f"setting 1 measures site 0 alone, got {states.spec.measured_sites}")
+    if d < 0:
+        raise ValueError(f"separation d must be >= 0, got {d}")
+    target = d + 1
+    if target >= states.params.n_sites:
+        raise ValueError(f"separation d={d} wraps past the ring size N={states.params.n_sites}")
+    return _report(states, target, a_sites=[0], b_sites=[target], reduce_pair=True)
+
+
 def run_setting1(params: ChainParams, d: int) -> QetReport:
     """Single measured site at 0, single target at d + 1.
 
@@ -162,13 +201,7 @@ def run_setting1(params: ChainParams, d: int) -> QetReport:
     neighbors, the only separation at which the ground state holds
     two-site entanglement.
     """
-    if d < 0:
-        raise ValueError(f"separation d must be >= 0, got {d}")
-    target = d + 1
-    if target >= params.n_sites:
-        raise ValueError(f"separation d={d} wraps past the ring size N={params.n_sites}")
-    spec = MeasurementSpec(measured_sites=(0,), omega=params.omega)
-    return _report(params, spec, target, a_sites=[0], b_sites=[target], reduce_pair=True)
+    return setting1_report(setting1_states(params), d)
 
 
 def run_setting2(params: ChainParams, ell: int) -> QetReport:
@@ -184,4 +217,4 @@ def run_setting2(params: ChainParams, ell: int) -> QetReport:
     target = half + ell
     spec = MeasurementSpec(measured_sites=tuple(range(2 * ell + 1)), omega=params.omega)
     a_sites = [s for s in range(params.n_sites) if s != target]
-    return _report(params, spec, target, a_sites=a_sites, b_sites=[target], reduce_pair=False)
+    return _report(build_states(params, spec), target, a_sites=a_sites, b_sites=[target], reduce_pair=False)

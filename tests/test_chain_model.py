@@ -101,6 +101,20 @@ class TestBuildCorrelations:
             assert corr.g[r] == pytest.approx(corr.g[10 - r], abs=1e-12)
             assert corr.h[r] == pytest.approx(corr.h[10 - r], abs=1e-12)
 
+    def test_memoised_vectors_are_read_only(self):
+        g, h = correlation_vectors(12, 0.9)
+        g_ref, h_ref = g.copy(), h.copy()
+        with pytest.raises(ValueError):
+            g[0] = 0.0
+        with pytest.raises(ValueError):
+            h += 1.0
+        again = correlation_vectors(12, 0.9)
+        correlation_vectors.cache_clear()
+        fresh = correlation_vectors(12, 0.9)
+        for g_got, h_got in (again, fresh):
+            np.testing.assert_array_equal(g_got, g_ref)
+            np.testing.assert_array_equal(h_got, h_ref)
+
     def test_two_site_ring_for_oracles(self):
         g, h = correlation_vectors(2, 0.9)
         wp, wm = math.sqrt(0.1), math.sqrt(1.9)

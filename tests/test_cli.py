@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qetchain import NumericsError, cli_main
-from qetchain.cli import run_validate
+import qetchain
+from qetchain import NumericsError
+from qetchain.cli import cli_main, run_validate
 from qetchain.experiment import RunConfig
 
 
@@ -76,6 +82,31 @@ class TestExitCodes:
         assert cli_main(["setting2", "--n", "100", "--alpha", "a1", "--ell-min", "36", "--ell-max", "38"]) == 2
         err = capsys.readouterr().err
         assert "numerical failure" in err and "ell=37" in err and "synthetic failure" in err
+
+    def test_failing_shared_state_names_its_sweep_point(self, monkeypatch, capsys):
+        # setting1 builds the measured state once per sweep, outside any row.
+        import qetchain.qet_protocol as qet_protocol
+
+        def boom(params, spec):
+            raise NumericsError("synthetic failure")
+
+        monkeypatch.setattr(qet_protocol, "post_measurement_covariance", boom)
+        assert cli_main(["setting1", "--n", "20", "--alpha", "a1", "--d-max", "5", "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "N=20, alpha=0.9" in err and "synthetic failure" in err
+
+
+def test_module_entry_point_runs_without_warnings():
+    # `python -m qetchain.cli` must not find qetchain.cli already imported by the package.
+    src = str(Path(qetchain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qetchain.cli",
+         "setting1", "--n", "20", "--alpha", "a1", "--d-max", "5", "--threads", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "E_B_abs" in done.stdout
 
 
 class TestConfigFile:

@@ -1,10 +1,22 @@
+import sys
+
 import numpy as np
 import pytest
 
 from qetchain import (
     ALPHA_PRESETS,
+    ChainParams,
+    MeasurementSpec,
     RunConfig,
+    build_quadratics,
+    correlation_vectors,
     fit_power_law,
+    ground_covariance,
+    log_negativity,
+    mutual_information,
+    optimized_energy,
+    post_measurement_covariance,
+    reduce,
     resolve_alpha,
     sweep_setting1,
     sweep_setting2,
@@ -110,6 +122,37 @@ class TestSweeps:
         table = sweep_size(config)
         assert [row[0] for row in table.rows] == [6, 8, 10]
         assert np.all(table.column("beta") > 0)
+
+
+def _setting1_row_rebuilt(params: ChainParams, d: int) -> tuple:
+    # Slow reference: every row recomputes the correlators and both states.
+    correlation_vectors.cache_clear()
+    spec = MeasurementSpec(measured_sites=(0,), omega=params.omega)
+    v0 = ground_covariance(params)
+    vm = post_measurement_covariance(params, spec).covariance
+    pair = [0, d + 1]
+    e_before = log_negativity(reduce(v0, pair), [1])
+    e_after = log_negativity(reduce(vm, pair), [1])
+    s_before = mutual_information(v0, [0], [d + 1])
+    s_after = mutual_information(vm, [0], [d + 1])
+    energy = optimized_energy(build_quadratics(params, spec, d + 1))
+    return (d, energy, e_before, e_after, e_before - e_after, s_before, s_after, s_before - s_after)
+
+
+class TestSharedStates:
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("preset", ["a1", "a4"])
+    def test_setting1_rows_equal_per_row_rebuild(self, preset, threads):
+        config = RunConfig(mode="setting1", n_sites=100, alpha=ALPHA_PRESETS[preset], d_max=40, threads=threads)
+        expected = tuple(_setting1_row_rebuilt(config.params(), d) for d in range(41))
+        correlation_vectors.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # pool threads interleave often over the shared states
+        try:
+            rows = sweep_setting1(config).rows
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows == expected
 
 
 class TestDeterminism:

@@ -99,6 +99,16 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError, match="symmetric"):
             CovarianceMatrix(0.5 * np.eye(2), q)
 
+    def test_blocks_are_read_only_copies(self):
+        q, p = np.array([[1.0, 0.2], [0.2, 1.0]]), 0.5 * np.eye(2)
+        state = CovarianceMatrix(q, p)
+        with pytest.raises(ValueError):
+            state.q[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            state.p[1, 1] = 5.0
+        q[0, 0] = 5.0
+        assert state.q[0, 0] == 1.0
+
     def test_rejects_symmetric_cross_terms(self):
         m = 0.5 * np.eye(4)
         m[0, 3] = m[3, 0] = 1e-6  # q0 p1

@@ -6,11 +6,13 @@ from qetchain import (
     DisplacementPlan,
     MeasurementSpec,
     build_quadratics,
+    build_states,
     optimal_plan,
     optimized_energy,
     plan_energy,
     run_setting1,
     run_setting2,
+    setting1_report,
 )
 
 A4 = 1.0 - 1e-7
@@ -122,6 +124,9 @@ class TestRunSetting1:
             run_setting1(params, -1)
         with pytest.raises(ValueError):
             run_setting1(params, 9)  # target would wrap onto the measured site
+        block = build_states(params, MeasurementSpec(measured_sites=(0, 1), omega=params.omega))
+        with pytest.raises(ValueError, match="site 0 alone"):
+            setting1_report(block, 2)
 
     def test_separability_structure(self):
         params = ChainParams(n_sites=20, alpha=0.9)
