@@ -1,7 +1,9 @@
 """Command-line front end: sweep subcommands, config files, the validate suite.
 
 Exit codes: 0 on success, 1 on configuration errors (unknown flags or keys,
-malformed values, out-of-range grids), 2 on numerical failures.
+malformed values, out-of-range grids), 2 on numerical failures.  The
+subparsers are the one list of flags: a config-file key is a flag without
+its dashes, converted by the flag's type, and every default is RunConfig's.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ import sys
 
 import numpy as np
 
-from . import experiment, oracle
+from . import experiment, invariants
 from .chain_model import ChainParams, correlation_vectors, ground_covariance
 from .experiment import ALPHA_PRESETS, RunConfig, render_fit_lines, resolve_alpha, summary_fits
-from .gaussian_state import NumericsError, log_negativity, symplectic_eigenvalues, reduce
-from .povm_measurement import MeasurementSpec, post_measurement_covariance, unmeasured_sites
-from .qet_protocol import DisplacementPlan, build_quadratics, optimal_plan, optimized_energy
+from .gaussian_state import NumericsError
+from .oracle import fock_ground_state, fock_position_correlator
+from .povm_measurement import MeasurementSpec
 
 
 class CliError(Exception):
@@ -35,63 +37,47 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         raise CliError(f"--n-list must be comma-separated integers, got {text!r}")
 
 
-# Config-file keys accepted per mode; everything else is an error.
-_COMMON_KEYS = {"n", "alpha", "omega", "seed", "threads", "out", "fit-min", "fit-max"}
-_MODE_KEYS = {
-    "setting1": _COMMON_KEYS | {"d-max"},
-    "setting2": _COMMON_KEYS | {"ell-min", "ell-max"},
-    "size-sweep": _COMMON_KEYS | {"n-list"},
-    "validate": {"n", "alpha", "omega", "seed", "threads"},
-}
-_CONVERTERS = {
-    "n": int, "alpha": str, "omega": float, "seed": int, "threads": int,
-    "out": str, "fit-min": float, "fit-max": float, "d-max": int,
-    "ell-min": int, "ell-max": int, "n-list": _parse_n_list,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Top-level parser; parser.modes maps each subcommand name to its subparser.
+
+    A flag left unset stays out of the parsed namespace, so RunConfig supplies every default.
+    """
     parser = _Parser(prog="qetchain", description="Harmonic-chain energy-teleportation sweeps")
     sub = parser.add_subparsers(dest="mode", required=True)
+    parser.modes = sub.choices
 
-    def common(p):
-        p.add_argument("--n", type=int, default=None, help="chain size (even, >= 4)")
-        p.add_argument("--alpha", default=None,
-                       help="coupling: preset a1=0.90, a2=0.95, a3=0.99, a4=1-1e-7, or a number")
-        p.add_argument("--omega", type=float, default=None, help="measurement frequency (default 1.0)")
-        p.add_argument("--seed", type=int, default=None, help="seed for sampled checks (default 1)")
-        p.add_argument("--threads", type=int, default=None, help="worker threads, 0 = auto (default)")
-        p.add_argument("--config", default=None, help="key = value file; command-line flags win")
+    def mode(name, summary, *flags):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--n", dest="n_sites", type=int, metavar="N",
+                       help=f"chain size (even, >= 4; default {RunConfig.n_sites})")
+        p.add_argument("--alpha", help="coupling: preset a1=0.90, a2=0.95, a3=0.99, a4=1-1e-7, or a number")
+        p.add_argument("--omega", type=float, help=f"measurement frequency (default {RunConfig.omega})")
+        p.add_argument("--seed", type=int, help=f"seed for sampled checks (default {RunConfig.seed})")
+        p.add_argument("--threads", type=int, help=f"worker threads, 0 = auto (default {RunConfig.threads})")
+        p.add_argument("--config", help="key = value file; command-line flags win")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
 
-    p1 = sub.add_parser("setting1", help="separation sweep with single-site groups")
-    common(p1)
-    p1.add_argument("--d-max", type=int, default=None, help="largest separation (default 40)")
-    p1.add_argument("--fit-min", type=float, default=None)
-    p1.add_argument("--fit-max", type=float, default=None)
-    p1.add_argument("--out", default=None, help="CSV output path")
-
-    p2 = sub.add_parser("setting2", help="measured-block-size sweep at fixed N")
-    common(p2)
-    p2.add_argument("--ell-min", type=int, default=None)
-    p2.add_argument("--ell-max", type=int, default=None)
-    p2.add_argument("--fit-min", type=float, default=None)
-    p2.add_argument("--fit-max", type=float, default=None)
-    p2.add_argument("--out", default=None)
-
-    p3 = sub.add_parser("size-sweep", help="system-size sweep at ell = N/2 - 2")
-    common(p3)
-    p3.add_argument("--n-list", type=_parse_n_list, default=None, help="comma-separated even sizes")
-    p3.add_argument("--fit-min", type=float, default=None)
-    p3.add_argument("--fit-max", type=float, default=None)
-    p3.add_argument("--out", default=None)
-
-    p4 = sub.add_parser("validate", help="run the oracle cross-check suite")
-    common(p4)
-
+    fit_and_out = (("--fit-min", dict(type=float)), ("--fit-max", dict(type=float)),
+                   ("--out", dict(help="CSV output path")))
+    mode("setting1", "separation sweep with single-site groups",
+         ("--d-max", dict(type=int, help=f"largest separation (default {RunConfig.d_max})")), *fit_and_out)
+    mode("setting2", "measured-block-size sweep at fixed N",
+         ("--ell-min", dict(type=int)), ("--ell-max", dict(type=int)), *fit_and_out)
+    mode("size-sweep", "system-size sweep at ell = N/2 - 2",
+         ("--n-list", dict(type=_parse_n_list, help="comma-separated even sizes")), *fit_and_out)
+    mode("validate", "run the oracle cross-check suite")
     return parser
 
 
-def _read_config_file(path: str, allowed: set[str]) -> dict:
+def _config_keys(subparser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Config-file key -> flag action: every flag but --config and --help, without its dashes."""
+    return {option[2:]: action for action in subparser._actions for option in action.option_strings
+            if option.startswith("--") and option not in ("--config", "--help")}
+
+
+def _read_config_file(path: str, keys: dict[str, argparse.Action]) -> dict:
+    """RunConfig field -> converted value for every key = value line of the file."""
     values = {}
     try:
         with open(path) as handle:
@@ -106,140 +92,72 @@ def _read_config_file(path: str, allowed: set[str]) -> dict:
             raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in allowed:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r} (allowed: {sorted(allowed)})")
+        if key not in keys:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r} (allowed: {sorted(keys)})")
+        action = keys[key]
         try:
-            values[key] = _CONVERTERS[key](value)
+            values[action.dest] = (action.type or str)(value)
         except ValueError:
             raise CliError(f"{path}:{lineno}: malformed value for {key!r}: {value!r}")
     return values
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    mode = args.mode
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config, _MODE_KEYS[mode])
-
-    def pick(flag: str, attr: str, default):
-        cli = getattr(args, attr, None)
-        if cli is not None:
-            return cli
-        if flag in file_values:
-            return file_values[flag]
-        return default
-
-    alpha = resolve_alpha(pick("alpha", "alpha", "a4"))
-    kwargs = dict(
-        mode=mode,
-        n_sites=pick("n", "n", 100),
-        alpha=alpha,
-        omega=pick("omega", "omega", 1.0),
-        seed=pick("seed", "seed", 1),
-        threads=pick("threads", "threads", 0),
-    )
-    if mode != "validate":
-        kwargs.update(
-            out=pick("out", "out", None),
-            fit_min=pick("fit-min", "fit_min", None),
-            fit_max=pick("fit-max", "fit_max", None),
-        )
-    if mode == "setting1":
-        kwargs.update(d_max=pick("d-max", "d_max", 40))
-    if mode == "setting2":
-        kwargs.update(ell_min=pick("ell-min", "ell_min", None), ell_max=pick("ell-max", "ell_max", None))
-    if mode == "size-sweep":
-        kwargs.update(n_list=pick("n-list", "n_list", experiment.DEFAULT_N_LIST))
-    return RunConfig(**kwargs)
+def parse_config(argv=None) -> RunConfig:
+    """The run a command line asks for: config-file values, then the flags that were set over them."""
+    parser = build_parser()
+    flags = vars(parser.parse_args(argv))
+    mode = flags.pop("mode")
+    path = flags.pop("config", None)
+    values = _read_config_file(path, _config_keys(parser.modes[mode])) if path else {}
+    values.update(flags)
+    if "alpha" in values:
+        values["alpha"] = resolve_alpha(values["alpha"])
+    return RunConfig(mode=mode, **values)
 
 
-def _check(name: str, ok: bool, detail: str, stream) -> bool:
-    print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=stream)
-    return ok
+def _validate_checks(config: RunConfig, params):
+    """(name, passed, detail) per invariant, computed one at a time."""
+    dev = invariants.inverse_pair_deviation((4, 10, 100), (0.0, 0.9, 0.99, ALPHA_PRESETS["a4"]))
+    yield "correlator-inverse-pair", dev < 1e-10, f"max |GH - I/4| = {dev:.2e}"
+    dev = invariants.virial_deviation(np.random.default_rng(config.seed), 50, 60)
+    yield "virial-identity", dev < 1e-12, f"max |h0 - g0 + alpha g1| = {dev:.2e}"
+    dev = invariants.purity_deviation(ground_covariance(params))
+    yield "ground-state-purity", dev < 1e-9, f"max |nu - 1/2| = {dev:.2e}"
+    dev = invariants.unmeasured_purity_deviation(params, MeasurementSpec(measured_sites=(0,), omega=params.omega))
+    yield "post-measurement-purity", dev < 1e-8, f"max |nu - 1/2| = {dev:.2e}"
+    dev = invariants.general_dyne_deviation((4, 6, 8, 12), (0.0, 0.5, 0.9, 0.99), (0.5, 1.0, 2.0),
+                                            ((0,), (0, 1), (0, 2)))
+    yield "general-dyne-agreement", dev < 1e-10, f"max entry dev = {dev:.2e}"
+    fock = fock_ground_state(0.9, cutoff=25)
+    dev = abs(fock_position_correlator(fock) - correlation_vectors(2, 0.9)[0][1])
+    yield "fock-correlator", dev < 1e-6, f"|<q0 q1>_fock - g1| = {dev:.2e}"
+    dev = invariants.fock_negativity_deviation(fock, 0.9)
+    yield "fock-negativity", dev < 1e-3, f"|E_N fock - E_N gaussian| = {dev:.2e}"
+    mc_params = ChainParams(n_sites=100, alpha=0.9, omega=config.omega)
+    mc_spec = MeasurementSpec(measured_sites=(0,), omega=config.omega)
+    analytic, [(mean, se), (mean_b, se_b)] = invariants.sampled_plan_energies(
+        mc_params, mc_spec, 2, ((1.0, 1.0, config.seed), (1.1, 1.0, config.seed)), 200_000)
+    yield ("monte-carlo-energy", abs(mean - analytic) <= 3 * se,
+           f"analytic {analytic:.4e}, sampled {mean:.4e} +- {se:.1e}")
+    yield ("perturbed-plan-not-better", mean_b >= analytic - 3 * se_b,
+           f"perturbed {mean_b:.4e} vs optimum {analytic:.4e}")
 
 
 def run_validate(config: RunConfig, stream=None) -> bool:
     """Oracle suite: one pass/fail line per invariant."""
     stream = stream or sys.stdout
+    params = config.params()  # a bad chain parameter fails before any line is printed
     results = []
-
-    dev = 0.0
-    for n in (4, 10, 100):
-        for alpha in (0.0, 0.9, 0.99, ALPHA_PRESETS["a4"]):
-            g, h = correlation_vectors(n, alpha)
-            dist = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-            dev = max(dev, float(np.abs(g[dist] @ h[dist] - np.eye(n) / 4).max()))
-    results.append(_check("correlator-inverse-pair", dev < 1e-10, f"max |GH - I/4| = {dev:.2e}", stream))
-
-    rng = np.random.default_rng(config.seed)
-    worst = 0.0
-    for _ in range(50):
-        n = 2 * int(rng.integers(2, 60))
-        alpha = float(rng.uniform(0.0, 1.0 - 1e-9))
-        g, h = correlation_vectors(n, alpha)
-        worst = max(worst, abs(h[0] - (g[0] - alpha * g[1])))
-    results.append(_check("virial-identity", worst < 1e-12, f"max |h0 - g0 + alpha g1| = {worst:.2e}", stream))
-
-    params = ChainParams(n_sites=config.n_sites, alpha=config.alpha, omega=config.omega)
-    nu = symplectic_eigenvalues(ground_covariance(params))
-    dev = float(np.abs(nu - 0.5).max())
-    results.append(_check("ground-state-purity", dev < 1e-9, f"max |nu - 1/2| = {dev:.2e}", stream))
-
-    spec = MeasurementSpec(measured_sites=(0,), omega=params.omega)
-    state = post_measurement_covariance(params, spec)
-    rest = unmeasured_sites(params, spec)
-    nu = symplectic_eigenvalues(reduce(state.covariance, rest))
-    dev = float(np.abs(nu - 0.5).max())
-    results.append(_check("post-measurement-purity", dev < 1e-8, f"max |nu - 1/2| = {dev:.2e}", stream))
-
-    dev = 0.0
-    for n in (4, 6, 8, 12):
-        for alpha in (0.0, 0.5, 0.9, 0.99):
-            for omega in (0.5, 1.0, 2.0):
-                for measured in ((0,), (0, 1), (0, 2)):
-                    small = ChainParams(n_sites=n, alpha=alpha, omega=omega)
-                    mspec = MeasurementSpec(measured_sites=measured, omega=omega)
-                    built = post_measurement_covariance(small, mspec)
-                    upd = oracle.general_dyne_update(ground_covariance(small), measured, omega)
-                    ref = reduce(built.covariance, unmeasured_sites(small, mspec))
-                    got = upd.conditional_covariance
-                    dev = max(dev, float(np.abs(got.q - ref.q).max()), float(np.abs(got.p - ref.p).max()))
-    results.append(_check("general-dyne-agreement", dev < 1e-10, f"max entry dev = {dev:.2e}", stream))
-
-    fock = oracle.fock_ground_state(0.9, cutoff=25)
-    g2, _ = correlation_vectors(2, 0.9)
-    dev = abs(oracle.fock_position_correlator(fock) - g2[1])
-    results.append(_check("fock-correlator", dev < 1e-6, f"|<q0 q1>_fock - g1| = {dev:.2e}", stream))
-
-    dev = abs(oracle.fock_log_negativity(fock) - log_negativity(oracle.two_mode_ground_covariance(0.9), [1]))
-    results.append(_check("fock-negativity", dev < 1e-3, f"|E_N fock - E_N gaussian| = {dev:.2e}", stream))
-
-    mc_params = ChainParams(n_sites=100, alpha=0.9, omega=config.omega)
-    mc_spec = MeasurementSpec(measured_sites=(0,), omega=config.omega)
-    quad = build_quadratics(mc_params, mc_spec, 2)
-    plan = optimal_plan(quad)
-    analytic = optimized_energy(quad)
-    mean, se = oracle.monte_carlo_energy(mc_params, mc_spec, 2, plan, 200_000, config.seed)
-    results.append(_check("monte-carlo-energy", abs(mean - analytic) <= 3 * se,
-                          f"analytic {analytic:.4e}, sampled {mean:.4e} +- {se:.1e}", stream))
-
-    bumped = DisplacementPlan(theta=plan.theta * 1.1, phi=plan.phi)
-    mean_b, se_b = oracle.monte_carlo_energy(mc_params, mc_spec, 2, bumped, 200_000, config.seed)
-    results.append(_check("perturbed-plan-not-better", mean_b >= analytic - 3 * se_b,
-                          f"perturbed {mean_b:.4e} vs optimum {analytic:.4e}", stream))
-
+    for name, ok, detail in _validate_checks(config, params):
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=stream)
+        results.append(ok)
     return all(results)
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _build_config(args)
-    except CliError as exc:
-        print(f"qetchain: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        config = parse_config(argv)
+    except (CliError, ValueError) as exc:
         print(f"qetchain: error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,8 +34,6 @@ ALPHA_PRESETS = {
 
 MODES = ("setting1", "setting2", "size-sweep", "validate")
 
-DEFAULT_N_LIST = tuple(range(20, 101, 10))
-
 
 def resolve_alpha(value) -> float:
     """Coupling from a preset name (a1..a4) or a numeric literal."""
@@ -61,7 +59,7 @@ class RunConfig:
     d_max: int = 40
     ell_min: int | None = None
     ell_max: int | None = None
-    n_list: tuple[int, ...] = DEFAULT_N_LIST
+    n_list: tuple[int, ...] = tuple(range(20, 101, 10))
     fit_min: float | None = None
     fit_max: float | None = None
     out: str | None = None
@@ -76,6 +74,8 @@ class RunConfig:
         if self.d_max < 0:
             raise ValueError(f"d-max must be >= 0, got {self.d_max}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        if not self.n_list:
+            raise ValueError("n-list must name at least one size")
 
     def params(self, n_sites: int | None = None) -> ChainParams:
         return ChainParams(n_sites=n_sites or self.n_sites, alpha=self.alpha, omega=self.omega)
@@ -157,6 +157,14 @@ def sweep_setting1(config: RunConfig) -> SweepTable:
     )
 
 
+def _block_row(x, params: ChainParams, ell: int) -> tuple:
+    """(x, delta_E_N, |E_B|, |E_B| / delta_E_N) of the setting-2 block of half-width ell."""
+    rep = run_setting2(params, ell)
+    delta = rep.delta_log_negativity
+    e_abs = abs(rep.optimized_energy)
+    return (x, delta, e_abs, e_abs / delta)
+
+
 def sweep_setting2(config: RunConfig) -> SweepTable:
     """One row per measured-block half-width ell."""
     params = config.params()
@@ -166,13 +174,7 @@ def sweep_setting2(config: RunConfig) -> SweepTable:
     if not 1 <= lo <= hi <= top:
         raise ValueError(f"ell range [{lo}, {hi}] must lie within [1, {top}]")
 
-    def row(ell: int) -> tuple:
-        rep = run_setting2(params, ell)
-        delta = rep.delta_log_negativity
-        e_abs = abs(rep.optimized_energy)
-        return (ell, delta, e_abs, e_abs / delta)
-
-    rows = _map_ordered(row, range(lo, hi + 1), config.threads, "ell")
+    rows = _map_ordered(lambda ell: _block_row(ell, params, ell), range(lo, hi + 1), config.threads, "ell")
     return SweepTable(columns=("ell", "delta_E_N", "E_B_abs", "ratio"), rows=tuple(rows))
 
 
@@ -182,13 +184,8 @@ def sweep_size(config: RunConfig) -> SweepTable:
         if n < 6 or n % 2 != 0:
             raise ValueError(f"size sweep needs even N >= 6, got {n}")
 
-    def row(n: int) -> tuple:
-        rep = run_setting2(config.params(n_sites=n), n // 2 - 2)
-        delta = rep.delta_log_negativity
-        e_abs = abs(rep.optimized_energy)
-        return (n, delta, e_abs, e_abs / delta)
-
-    rows = _map_ordered(row, config.n_list, config.threads, "N")
+    rows = _map_ordered(lambda n: _block_row(n, config.params(n_sites=n), n // 2 - 2),
+                        config.n_list, config.threads, "N")
     return SweepTable(columns=("N", "delta_E_N", "E_B_abs", "beta"), rows=tuple(rows))
 
 
@@ -235,35 +232,29 @@ def fit_power_law(points: Sequence[tuple[float, float]], with_offset: bool = Fal
     )
 
 
-def _window_points(table: SweepTable, x_col: str, y: np.ndarray, lo: float, hi: float):
-    x = table.column(x_col).astype(float)
-    keep = (x >= lo) & (x <= hi) & (x > 0)
-    return list(zip(x[keep], y[keep]))
-
-
 def summary_fits(config: RunConfig, table: SweepTable) -> list[tuple[str, PowerLawFit | str]]:
     """Named fits for the sweep, or a reason string when a fit is not defined."""
-    out: list[tuple[str, PowerLawFit | str]] = []
     if config.mode == "setting1":
-        lo = 10.0 if config.fit_min is None else config.fit_min
-        hi = 40.0 if config.fit_max is None else config.fit_max
-        for name, y in (("E_B_abs", np.abs(table.column("E_B_opt"))),
-                        ("delta_S_M", table.column("delta_S_M"))):
-            try:
-                out.append((name, fit_power_law(_window_points(table, "d", y, lo, hi))))
-            except ValueError as exc:
-                out.append((name, f"aborted: {exc}"))
+        x_col, lo, hi = "d", 10.0, 40.0
+        specs = (("E_B_abs", np.abs(table.column("E_B_opt")), False),
+                 ("delta_S_M", table.column("delta_S_M"), False))
     elif config.mode == "size-sweep":
-        lo = 40.0 if config.fit_min is None else config.fit_min
-        hi = float(max(config.n_list)) if config.fit_max is None else config.fit_max
+        x_col, lo, hi = "N", 40.0, float(max(config.n_list))
         specs = (("delta_E_N", table.column("delta_E_N"), False),
                  ("E_B_abs", table.column("E_B_abs"), True),
                  ("beta", table.column("beta"), False))
-        for name, y, with_offset in specs:
-            try:
-                out.append((name, fit_power_law(_window_points(table, "N", y, lo, hi), with_offset)))
-            except ValueError as exc:
-                out.append((name, f"aborted: {exc}"))
+    else:
+        return []
+    lo = lo if config.fit_min is None else config.fit_min
+    hi = hi if config.fit_max is None else config.fit_max
+    x = table.column(x_col).astype(float)
+    keep = (x >= lo) & (x <= hi) & (x > 0)
+    out: list[tuple[str, PowerLawFit | str]] = []
+    for name, y, with_offset in specs:
+        try:
+            out.append((name, fit_power_law(list(zip(x[keep], y[keep])), with_offset)))
+        except ValueError as exc:
+            out.append((name, f"aborted: {exc}"))
     return out
 
 

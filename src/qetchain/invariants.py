@@ -1,0 +1,78 @@
+"""Invariants checked by both `qetchain validate` and the acceptance tests.
+
+Each function measures one invariant over the grid, seed or sample count it
+is given and returns the deviation; the caller owns the tolerance.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+import numpy as np
+
+from .chain_model import ChainParams, correlation_vectors, ground_covariance
+from .gaussian_state import CovarianceMatrix, log_negativity, reduce, symplectic_eigenvalues
+from .oracle import FockState, fock_log_negativity, general_dyne_update, monte_carlo_energy
+from .oracle import two_mode_ground_covariance
+from .povm_measurement import MeasurementSpec, post_measurement_covariance, unmeasured_sites
+from .qet_protocol import DisplacementPlan, build_quadratics, optimal_plan, optimized_energy
+
+
+def inverse_pair_deviation(sizes, alphas) -> float:
+    """max |G H - I/4| over every (N, alpha) of the grid."""
+    dev = 0.0
+    for n, alpha in product(sizes, alphas):
+        g, h = correlation_vectors(n, alpha)
+        dist = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+        dev = max(dev, float(np.abs(g[dist] @ h[dist] - np.eye(n) / 4).max()))
+    return dev
+
+
+def virial_deviation(rng: np.random.Generator, draws: int, half_size_bound: int) -> float:
+    """max |h0 - g0 + alpha g1| over draws of N = 2 * [2, half_size_bound) and alpha in [0, 1)."""
+    dev = 0.0
+    for _ in range(draws):
+        n = 2 * int(rng.integers(2, half_size_bound))
+        alpha = float(rng.uniform(0.0, 1.0 - 1e-9))
+        g, h = correlation_vectors(n, alpha)
+        dev = max(dev, abs(h[0] - (g[0] - alpha * g[1])))
+    return dev
+
+
+def purity_deviation(state: CovarianceMatrix) -> float:
+    """max |nu - 1/2| over the symplectic spectrum; 0 for a pure state."""
+    return float(np.abs(symplectic_eigenvalues(state) - 0.5).max())
+
+
+def unmeasured_purity_deviation(params: ChainParams, spec: MeasurementSpec) -> float:
+    """Purity deviation of the unmeasured sites after the measurement."""
+    state = post_measurement_covariance(params, spec)
+    return purity_deviation(reduce(state.covariance, unmeasured_sites(params, spec)))
+
+
+def general_dyne_deviation(sizes, alphas, omegas, groups) -> float:
+    """Largest entry difference between general-dyne conditioning and the Schur construction."""
+    dev = 0.0
+    for n, alpha, omega, measured in product(sizes, alphas, omegas, groups):
+        params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
+        spec = MeasurementSpec(measured_sites=measured, omega=omega)
+        ref = reduce(post_measurement_covariance(params, spec).covariance, unmeasured_sites(params, spec))
+        got = general_dyne_update(ground_covariance(params), measured, omega).conditional_covariance
+        dev = max(dev, float(np.abs(got.q - ref.q).max()), float(np.abs(got.p - ref.p).max()))
+    return dev
+
+
+def fock_negativity_deviation(fock: FockState, alpha: float) -> float:
+    """|E_N in the number basis - E_N of the Gaussian pair|."""
+    return abs(fock_log_negativity(fock) - log_negativity(two_mode_ground_covariance(alpha), [1]))
+
+
+def sampled_plan_energies(params: ChainParams, spec: MeasurementSpec, target: int, scaled_plans,
+                          samples: int) -> tuple[float, list[tuple[float, float]]]:
+    """The analytic optimum at target, and the Monte Carlo (mean, standard error) of the optimal
+    plan with theta and phi scaled, for each (theta factor, phi factor, seed) in scaled_plans."""
+    quad = build_quadratics(params, spec, target)
+    plan = optimal_plan(quad)
+    analytic = optimized_energy(quad)
+    return analytic, [monte_carlo_energy(params, spec, target, DisplacementPlan(plan.theta * t, plan.phi * p),
+                                         samples, seed) for t, p, seed in scaled_plans]

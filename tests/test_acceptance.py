@@ -18,31 +18,29 @@ import pytest
 from qetchain import (
     ALPHA_PRESETS,
     ChainParams,
-    DisplacementPlan,
     MeasurementSpec,
     RunConfig,
     build_quadratics,
-    correlation_vectors,
     fit_power_law,
     fock_ground_state,
-    fock_log_negativity,
-    general_dyne_update,
     ground_covariance,
     log_negativity,
-    monte_carlo_energy,
-    optimal_plan,
     optimized_energy,
     post_measurement_covariance,
     reduce,
     sweep_setting1,
     sweep_setting2,
     sweep_size,
-    symplectic_eigenvalues,
-    two_mode_ground_covariance,
-    unmeasured_sites,
 )
 from qetchain.experiment import render_csv
-from qetchain.qet_protocol import run_setting1
+from qetchain.invariants import (
+    fock_negativity_deviation,
+    general_dyne_deviation,
+    inverse_pair_deviation,
+    sampled_plan_energies,
+    unmeasured_purity_deviation,
+    virial_deviation,
+)
 
 A1, A2, A3, A4 = (ALPHA_PRESETS[k] for k in ("a1", "a2", "a3", "a4"))
 
@@ -62,12 +60,7 @@ def _window_fit(xs, ys, lo, hi, with_offset=False):
 
 def test_criterion_1_correlator_inverse_identity():
     start = time.perf_counter()
-    worst = 0.0
-    for n in (4, 10, 100):
-        for alpha in (0.0, 0.9, 0.99, A4):
-            g, h = correlation_vectors(n, alpha)
-            dist = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-            worst = max(worst, float(np.abs(g[dist] @ h[dist] - np.eye(n) / 4).max()))
+    worst = inverse_pair_deviation((4, 10, 100), (0.0, 0.9, 0.99, A4))
     elapsed = time.perf_counter() - start
     _finish(1, [
         ("max |GH - I/4|", worst < 1e-10, f"{worst:.2e}"),
@@ -86,33 +79,14 @@ def test_criterion_2_post_measurement_purity():
         (100, 0.9, 0.5, tuple(range(3))),
     ]
     for n, alpha, omega, measured in grids:
-        params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
         spec = MeasurementSpec(measured_sites=measured, omega=omega)
-        state = post_measurement_covariance(params, spec)
-        block = reduce(state.covariance, unmeasured_sites(params, spec))
-        nu = symplectic_eigenvalues(block)
-        worst = max(worst, float(np.abs(nu - 0.5).max()))
+        worst = max(worst, unmeasured_purity_deviation(ChainParams(n_sites=n, alpha=alpha, omega=omega), spec))
     _finish(2, [("max |nu - 1/2| over grids", worst < 1e-8, f"{worst:.2e}")])
 
 
 def test_criterion_3_oracle_equivalence():
-    worst = 0.0
-    for n in (4, 6, 8, 12):
-        for alpha in (0.0, 0.5, 0.9, 0.99):
-            for omega in (0.5, 1.0, 2.0):
-                for measured in ((0,), (0, 1), (0, 2)):
-                    params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
-                    spec = MeasurementSpec(measured_sites=measured, omega=omega)
-                    upd = general_dyne_update(ground_covariance(params), measured, omega)
-                    built = post_measurement_covariance(params, spec)
-                    ref = reduce(built.covariance, unmeasured_sites(params, spec)).matrix
-                    dev = float(np.abs(upd.conditional_covariance.matrix - ref).max())
-                    worst = max(worst, dev)
-    fock_devs = []
-    for alpha in (0.5, 0.9):
-        fock = fock_log_negativity(fock_ground_state(alpha, cutoff=25))
-        gauss = log_negativity(two_mode_ground_covariance(alpha), [1])
-        fock_devs.append(abs(fock - gauss))
+    worst = general_dyne_deviation((4, 6, 8, 12), (0.0, 0.5, 0.9, 0.99), (0.5, 1.0, 2.0), ((0,), (0, 1), (0, 2)))
+    fock_devs = [fock_negativity_deviation(fock_ground_state(alpha, cutoff=25), alpha) for alpha in (0.5, 0.9)]
     _finish(3, [
         ("general-dyne vs Schur, entrywise", worst < 1e-10, f"{worst:.2e}"),
         ("fock vs gaussian negativity", max(fock_devs) < 1e-3, f"{max(fock_devs):.2e} at cutoff 25"),
@@ -125,11 +99,7 @@ def test_criterion_4_monte_carlo_energy():
     params = ChainParams(n_sites=100, alpha=0.9)
     spec = MeasurementSpec(measured_sites=(0,))
     for d in (1, 2, 5):
-        target = d + 1
-        quad = build_quadratics(params, spec, target)
-        plan = optimal_plan(quad)
-        analytic = optimized_energy(quad)
-        mean, se = monte_carlo_energy(params, spec, target, plan, 10**6, seed=4000 + d)
+        analytic, [(mean, se)] = sampled_plan_energies(params, spec, d + 1, [(1.0, 1.0, 4000 + d)], 10**6)
         z = abs(mean - analytic) / se
         gates.append((f"d={d} |z|", z <= 3.0, f"analytic {analytic:.4e}, sampled {mean:.4e}, z={z:.2f}"))
     elapsed = time.perf_counter() - start
@@ -272,27 +242,15 @@ def test_criterion_10_property_suite():
         ChainParams(n_sites=12, alpha=0.0), MeasurementSpec(measured_sites=(0,)), 6))
     gates.append(("decoupled chain extracts nothing", zero == 0.0, f"value {zero:.1e}"))
 
-    params = ChainParams(n_sites=100, alpha=0.9)
-    spec = MeasurementSpec(measured_sites=(0,))
-    quad = build_quadratics(params, spec, 2)
-    plan = optimal_plan(quad)
-    analytic = optimized_energy(quad)
-    ok = True
-    details = []
-    for scale, seed in ((1.1, 51), (1.5, 52), (0.8, 53)):
-        bumped = DisplacementPlan(theta=plan.theta * scale, phi=plan.phi * scale)
-        mean, se = monte_carlo_energy(params, spec, 2, bumped, 200_000, seed=seed)
-        ok = ok and (mean >= analytic - 3 * se)
-        details.append(f"x{scale}: {mean:.3e}")
+    plans = [(1.1, 1.1, 51), (1.5, 1.5, 52), (0.8, 0.8, 53)]  # (theta factor, phi factor, seed)
+    params, spec = ChainParams(n_sites=100, alpha=0.9), MeasurementSpec(measured_sites=(0,))
+    analytic, sampled = sampled_plan_energies(params, spec, 2, plans, 200_000)
+    ok = all(mean >= analytic - 3 * se for mean, se in sampled)
+    details = [f"x{scale}: {mean:.3e}" for (scale, _, _), (mean, _) in zip(plans, sampled)]
     gates.append(("perturbed plans never beat the optimum", ok,
                   f"optimum {analytic:.3e}; " + ", ".join(details)))
 
-    worst_virial = 0.0
-    for _ in range(50):
-        n = 2 * int(rng.integers(2, 100))
-        alpha = float(rng.uniform(0.0, 1.0 - 1e-9))
-        g, h = correlation_vectors(n, alpha)
-        worst_virial = max(worst_virial, abs(h[0] - (g[0] - alpha * g[1])))
+    worst_virial = virial_deviation(rng, 50, 100)
     gates.append(("virial identity to 1e-12", worst_virial < 1e-12, f"max dev {worst_virial:.2e}"))
 
     _finish(10, gates)

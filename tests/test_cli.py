@@ -8,7 +8,7 @@ import pytest
 
 import qetchain
 from qetchain import NumericsError
-from qetchain.cli import cli_main, run_validate
+from qetchain.cli import build_parser, cli_main, parse_config, run_validate
 from qetchain.experiment import RunConfig
 
 
@@ -57,6 +57,10 @@ class TestExitCodes:
 
     def test_bad_alpha_literal(self, capsys):
         assert cli_main(["setting1", "--alpha", "huge"]) == 1
+
+    def test_empty_size_list(self, capsys):
+        assert cli_main(["size-sweep", "--n-list", ","]) == 1
+        assert "n-list" in capsys.readouterr().err
 
     def test_numerical_failure_maps_to_exit_2(self, monkeypatch, capsys):
         import qetchain.experiment as experiment
@@ -138,6 +142,38 @@ class TestConfigFile:
         assert cli_main(["setting1", "--config", str(cfg)]) == 1
 
 
+# One value per flag, each different from the RunConfig default.
+FLAG_VALUES = {
+    "n": "24", "alpha": "a2", "omega": "1.5", "seed": "9", "threads": "2", "d-max": "7",
+    "ell-min": "2", "ell-max": "5", "n-list": "8,10,12", "fit-min": "3", "fit-max": "9", "out": "x.csv",
+}
+
+
+@pytest.mark.parametrize("mode", ["setting1", "setting2", "size-sweep", "validate"])
+def test_every_flag_is_a_config_key_with_the_same_meaning(mode, tmp_path):
+    subparser = build_parser().modes[mode]
+    keys = [option[2:] for action in subparser._actions for option in action.option_strings
+            if option.startswith("--") and option not in ("--config", "--help")]
+    assert set(keys) <= set(FLAG_VALUES)
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {FLAG_VALUES[key]}\n" for key in keys))
+    from_file = parse_config([mode, "--config", str(cfg)])
+    from_flags = parse_config([mode] + [arg for key in keys for arg in (f"--{key}", FLAG_VALUES[key])])
+    assert from_file == from_flags
+    default = RunConfig(mode=mode)
+    for action in subparser._actions:
+        if action.dest not in ("config", "help"):
+            assert getattr(from_file, action.dest) != getattr(default, action.dest), action.dest
+
+
+@pytest.mark.parametrize("key", ["d-max", "out"])
+def test_validate_rejects_sweep_keys(key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {FLAG_VALUES[key]}\n")
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    assert "unknown key" in capsys.readouterr().err
+
+
 class TestDeterministicOutput:
     def test_same_config_same_bytes(self, tmp_path):
         args = ["size-sweep", "--alpha", "a1", "--n-list", "6,8,10", "--seed", "5"]
@@ -172,3 +208,10 @@ class TestValidateSuite:
     def test_cli_validate_exit_code(self, capsys):
         assert cli_main(["validate", "--n", "20", "--alpha", "a1", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [("--n", "5"), ("--omega", "-1"), ("--alpha", "1.0")])
+    def test_bad_chain_parameter_fails_before_any_check(self, flag, value, capsys):
+        assert cli_main(["validate", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "qetchain: error:" in captured.err

@@ -52,6 +52,10 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(mode="setting1", threads=-1)
 
+    def test_empty_size_list_rejected(self):
+        with pytest.raises(ValueError, match="n-list"):
+            RunConfig(mode="size-sweep", n_list=())
+
 
 class TestFitPowerLaw:
     def test_recovers_exact_power_law(self):
