@@ -36,18 +36,14 @@ from .povm_measurement import (
 )
 from .qet_protocol import (
     DisplacementPlan,
-    ProtocolStates,
     QetQuadratics,
     QetReport,
     build_quadratics,
-    build_states,
     optimal_plan,
     optimized_energy,
     plan_energy,
     run_setting1,
     run_setting2,
-    setting1_report,
-    setting1_states,
 )
 from .oracle import (
     FockState,

@@ -34,7 +34,7 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise CliError(f"--n-list must be comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,21 +52,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"chain size (even, >= 4; default {RunConfig.n_sites})")
         p.add_argument("--alpha", help="coupling: preset a1=0.90, a2=0.95, a3=0.99, a4=1-1e-7, or a number")
         p.add_argument("--omega", type=float, help=f"measurement frequency (default {RunConfig.omega})")
-        p.add_argument("--seed", type=int, help=f"seed for sampled checks (default {RunConfig.seed})")
-        p.add_argument("--threads", type=int, help=f"worker threads, 0 = auto (default {RunConfig.threads})")
         p.add_argument("--config", help="key = value file; command-line flags win")
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
 
-    fit_and_out = (("--fit-min", dict(type=float)), ("--fit-max", dict(type=float)),
+    sweep_flags = (("--threads", dict(type=int, help=f"worker threads, 0 = auto (default {RunConfig.threads})")),
+                   ("--fit-min", dict(type=float)), ("--fit-max", dict(type=float)),
                    ("--out", dict(help="CSV output path")))
     mode("setting1", "separation sweep with single-site groups",
-         ("--d-max", dict(type=int, help=f"largest separation (default {RunConfig.d_max})")), *fit_and_out)
+         ("--d-max", dict(type=int, help=f"largest separation (default {RunConfig.d_max})")), *sweep_flags)
     mode("setting2", "measured-block-size sweep at fixed N",
-         ("--ell-min", dict(type=int)), ("--ell-max", dict(type=int)), *fit_and_out)
+         ("--ell-min", dict(type=int)), ("--ell-max", dict(type=int)), *sweep_flags)
     mode("size-sweep", "system-size sweep at ell = N/2 - 2",
-         ("--n-list", dict(type=_parse_n_list, help="comma-separated even sizes")), *fit_and_out)
-    mode("validate", "run the oracle cross-check suite")
+         ("--n-list", dict(type=_parse_n_list, help="comma-separated even sizes")), *sweep_flags)
+    mode("validate", "run the oracle cross-check suite",
+         ("--seed", dict(type=int, help=f"seed for sampled checks (default {RunConfig.seed})")))
     return parser
 
 
@@ -97,7 +97,7 @@ def _read_config_file(path: str, keys: dict[str, argparse.Action]) -> dict:
         action = keys[key]
         try:
             values[action.dest] = (action.type or str)(value)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise CliError(f"{path}:{lineno}: malformed value for {key!r}: {value!r}")
     return values
 

@@ -6,16 +6,15 @@ against the antipodal target (setting2), and a system-size sweep at the
 maximal block ell = N/2 - 2 (size-sweep).  Rows are pure functions of the
 configuration, evaluated optionally in a thread pool but always merged in
 grid order, and floats are serialized with 12 significant digits so that
-repeated runs produce byte-identical files.  The separation sweep builds
-its ground and post-measurement states once and shares them, read-only,
-across its rows.
+repeated runs produce byte-identical files.  Each row is a closed form in
+the memoised correlator vectors (see qet_protocol), so rows share nothing
+but those read-only arrays.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .chain_model import ChainParams
 from .gaussian_state import NumericsError
-from .qet_protocol import run_setting2, setting1_report, setting1_states
+from .qet_protocol import run_setting1, run_setting2
 
 ALPHA_PRESETS = {
     "a1": 0.90,
@@ -104,21 +103,14 @@ class PowerLawFit:
     window: tuple[float, float]
 
 
-@contextmanager
-def _grid_point(label: str):
-    """Re-raise a numerical failure as the same type, its message prefixed by label."""
-    try:
-        yield
-    except (NumericsError, np.linalg.LinAlgError) as exc:
-        raise type(exc)(f"{label}: {exc}") from exc
-
-
 def _map_ordered(fn: Callable, items: Iterable, threads: int, grid: str) -> list:
     """fn over items in grid order; a numerical failure is re-raised naming its grid point."""
 
     def labelled(item):
-        with _grid_point(f"{grid}={item}"):
+        try:
             return fn(item)
+        except (NumericsError, np.linalg.LinAlgError) as exc:
+            raise type(exc)(f"{grid}={item}: {exc}") from exc
 
     items = list(items)
     if threads == 1 or len(items) <= 1:
@@ -133,11 +125,9 @@ def sweep_setting1(config: RunConfig) -> SweepTable:
     params = config.params()
     if config.d_max + 1 >= params.n_sites:
         raise ValueError(f"d-max {config.d_max} does not fit on a ring of {params.n_sites} sites")
-    with _grid_point(f"N={params.n_sites}, alpha={params.alpha}"):
-        states = setting1_states(params)
 
     def row(d: int) -> tuple:
-        rep = setting1_report(states, d)
+        rep = run_setting1(params, d)
         return (
             d,
             rep.optimized_energy,
@@ -158,11 +148,14 @@ def sweep_setting1(config: RunConfig) -> SweepTable:
 
 
 def _block_row(x, params: ChainParams, ell: int) -> tuple:
-    """(x, delta_E_N, |E_B|, |E_B| / delta_E_N) of the setting-2 block of half-width ell."""
+    """(x, delta_E_N, |E_B|, |E_B| / delta_E_N) of the setting-2 block of half-width ell.
+
+    The ratio is NaN where delta_E_N is exactly 0, as on a decoupled chain.
+    """
     rep = run_setting2(params, ell)
     delta = rep.delta_log_negativity
     e_abs = abs(rep.optimized_energy)
-    return (x, delta, e_abs, e_abs / delta)
+    return (x, delta, e_abs, e_abs / delta if delta else float("nan"))
 
 
 def sweep_setting2(config: RunConfig) -> SweepTable:

@@ -9,21 +9,37 @@ energy localized at B by the quadratic form
 
 where T_p, T_q add the detector noise (omega/2, 1/(2 omega)) to the
 measured-site correlation blocks and J_p, J_q couple the measured sites to
-the target through the ground-state correlators (J_q carries the
--(alpha/2) combination with the target's two neighbors).  The unique
-minimizer theta = -T_p^{-1} J_p, phi = -T_q^{-1} J_q extracts
+the target through the ground-state correlators.  J_q is the combination
+g_r - (alpha/2)(g_{r-1} + g_{r+1}) with the target's two neighbors, which
+equals h_r on the ring because (1 - alpha cos theta_k) / (2 omega_k) =
+omega_k / 2; so J_q = J_p.  The unique minimizer theta = -T_p^{-1} J_p,
+phi = -T_q^{-1} J_q extracts
 
     E_opt = -(1/2) J_p^T T_p^{-1} J_p - (1/2) J_q^T T_q^{-1} J_q <= 0,
 
 strictly negative whenever either coupling vector is nonzero.
 
-Two standard site layouts are provided: a single measured site against a
-single target at separation d (run_setting1), and a measured block of
-2 ell + 1 sites against the antipodal site with everything else grouped
-alongside the measured block (run_setting2).  Neither the ground state nor
-the post-measurement state depends on the target, so a run first builds
-both (build_states) and then accounts for one target; a separation sweep
-builds them once (setting1_states) and accounts per d (setting1_report).
+Two standard site layouts are provided, and each row is a closed form in a
+few correlators; no N x N state is built.
+
+* run_setting1 measures site 0 and targets site d + 1.  The ground pair is
+  mirror-symmetric, so its sum and difference modes decouple, with
+  symplectic eigenvalues nu_pm^2 = (g_0 +- g_r)(h_0 +- h_r), and
+  (g_0 +- g_r)(h_0 -+ h_r) after the partial transpose.  After the
+  measurement site 0 is a coherent state in product with the rest, so the
+  pair's negativity and mutual information are exactly zero.
+* run_setting2 measures the block {0..2 ell} and splits the pure chain
+  into the antipodal target against the other N - 1 sites.  Such a split
+  is locally two-mode squeezed (Botero and Reznik, PRA 67, 052311 (2003)):
+  with nu^2 = Q_bb P_bb at the target, E_N = arccosh(2 nu) / ln 2 and
+  S_M = 2 S(nu).  Before the measurement nu_0^2 = g_0 h_0; after it
+  nu_1^2 = (g_0 - dq)(h_0 - dp) with dp = J^T T_p^{-1} J and
+  dq = g_bA^T T_q^{-1} g_Ab.  The block is contiguous, so T_p and T_q are
+  symmetric Toeplitz and Levinson recursion solves them in O(ell^2).
+
+The full-state route (ground_covariance, post_measurement_covariance,
+log_negativity, mutual_information) stays in the package as the oracle
+these closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -31,21 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_toeplitz
 
-from .chain_model import ChainParams, build_correlations, ground_covariance
-from .gaussian_state import CovarianceMatrix, log_negativity, mutual_information, reduce
-from .povm_measurement import MeasurementSpec, post_measurement_covariance
-
-
-@dataclass(frozen=True)
-class ProtocolStates:
-    """The chain before and after one measurement; shared by every target."""
-
-    params: ChainParams
-    spec: MeasurementSpec
-    ground: CovarianceMatrix
-    measured: CovarianceMatrix
+from .chain_model import ChainParams, build_correlations, correlation_vectors
+from .gaussian_state import PHYSICALITY_TOL, NumericsError, _entropy_terms
+from .povm_measurement import MeasurementSpec
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,11 @@ class DisplacementPlan:
 
 @dataclass(frozen=True)
 class QetReport:
-    """One full protocol run: extracted energy plus correlation accounting."""
+    """One full protocol run: extracted energy plus correlation accounting.
+
+    delta_log_negativity is stored rather than derived, so that a layout
+    can form it without subtracting two nearly equal numbers.
+    """
 
     optimized_energy: float
     plan: DisplacementPlan
@@ -86,10 +96,7 @@ class QetReport:
     e_n_after: float
     s_m_before: float
     s_m_after: float
-
-    @property
-    def delta_log_negativity(self) -> float:
-        return self.e_n_before - self.e_n_after
+    delta_log_negativity: float
 
     @property
     def delta_mutual_information(self) -> float:
@@ -109,12 +116,8 @@ def build_quadratics(params: ChainParams, spec: MeasurementSpec, target_site: in
     eye = np.eye(meas.size)
     t_p = corr.h[dist] + (spec.omega / 2.0) * eye
     t_q = corr.g[dist] + eye / (2.0 * spec.omega)
-    j_p = corr.h[(meas - target_site) % n]
-    left, right = (target_site - 1) % n, (target_site + 1) % n
-    j_q = corr.g[(meas - target_site) % n] - (params.alpha / 2.0) * (
-        corr.g[(meas - left) % n] + corr.g[(meas - right) % n]
-    )
-    return QetQuadratics(t_p=t_p, t_q=t_q, j_p=j_p, j_q=j_q)
+    j = corr.h[(meas - target_site) % n]
+    return QetQuadratics(t_p=t_p, t_q=t_q, j_p=j, j_q=j)
 
 
 def optimal_plan(quadratics: QetQuadratics) -> DisplacementPlan:
@@ -142,58 +145,6 @@ def plan_energy(quadratics: QetQuadratics, plan: DisplacementPlan) -> float:
     )
 
 
-def build_states(params: ChainParams, spec: MeasurementSpec) -> ProtocolStates:
-    """Ground covariance and post-measurement covariance of the whole chain."""
-    return ProtocolStates(
-        params=params,
-        spec=spec,
-        ground=ground_covariance(params),
-        measured=post_measurement_covariance(params, spec).covariance,
-    )
-
-
-def _report(states: ProtocolStates, target, a_sites, b_sites, reduce_pair) -> QetReport:
-    v0, vm = states.ground, states.measured
-    if reduce_pair:
-        # Negativity of the (A : B) pair needs the two-party reduced state;
-        # after reduction B is the last kept mode.
-        pair = list(a_sites) + list(b_sites)
-        b_local = [len(pair) - 1]
-        e_n_before = log_negativity(reduce(v0, pair), b_local)
-        e_n_after = log_negativity(reduce(vm, pair), b_local)
-    else:
-        e_n_before = log_negativity(v0, b_sites)
-        e_n_after = log_negativity(vm, b_sites)
-    s_m_before = mutual_information(v0, a_sites, b_sites)
-    s_m_after = mutual_information(vm, a_sites, b_sites)
-    quad = build_quadratics(states.params, states.spec, target)
-    return QetReport(
-        optimized_energy=optimized_energy(quad),
-        plan=optimal_plan(quad),
-        e_n_before=e_n_before,
-        e_n_after=e_n_after,
-        s_m_before=s_m_before,
-        s_m_after=s_m_after,
-    )
-
-
-def setting1_states(params: ChainParams) -> ProtocolStates:
-    """States of setting 1: the single site 0 measured; independent of d."""
-    return build_states(params, MeasurementSpec(measured_sites=(0,), omega=params.omega))
-
-
-def setting1_report(states: ProtocolStates, d: int) -> QetReport:
-    """Setting-1 accounting for the target at d + 1, from setting1_states."""
-    if states.spec.measured_sites != (0,):
-        raise ValueError(f"setting 1 measures site 0 alone, got {states.spec.measured_sites}")
-    if d < 0:
-        raise ValueError(f"separation d must be >= 0, got {d}")
-    target = d + 1
-    if target >= states.params.n_sites:
-        raise ValueError(f"separation d={d} wraps past the ring size N={states.params.n_sites}")
-    return _report(states, target, a_sites=[0], b_sites=[target], reduce_pair=True)
-
-
 def run_setting1(params: ChainParams, d: int) -> QetReport:
     """Single measured site at 0, single target at d + 1.
 
@@ -201,7 +152,27 @@ def run_setting1(params: ChainParams, d: int) -> QetReport:
     neighbors, the only separation at which the ground state holds
     two-site entanglement.
     """
-    return setting1_report(setting1_states(params), d)
+    if d < 0:
+        raise ValueError(f"separation d must be >= 0, got {d}")
+    target = d + 1
+    if target >= params.n_sites:
+        raise ValueError(f"separation d={d} wraps past the ring size N={params.n_sites}")
+    g, h = correlation_vectors(params.n_sites, params.alpha)
+    sign = np.array([1.0, -1.0])
+    nu_pair = np.sqrt((g[0] + sign * g[target]) * (h[0] + sign * h[target]))
+    nu_transposed = np.sqrt((g[0] + sign * g[target]) * (h[0] - sign * h[target]))
+    e_n_before = float(-np.sum(np.minimum(0.0, np.log2(2.0 * nu_transposed)))) + 0.0  # avoid -0.0
+    s_m_before = float(2.0 * _entropy_terms(np.sqrt(g[0] * h[0])) - np.sum(_entropy_terms(nu_pair)))
+    quad = build_quadratics(params, MeasurementSpec(measured_sites=(0,), omega=params.omega), target)
+    return QetReport(
+        optimized_energy=optimized_energy(quad),
+        plan=optimal_plan(quad),
+        e_n_before=e_n_before,
+        e_n_after=0.0,
+        s_m_before=s_m_before,
+        s_m_after=0.0,
+        delta_log_negativity=e_n_before,
+    )
 
 
 def run_setting2(params: ChainParams, ell: int) -> QetReport:
@@ -214,7 +185,36 @@ def run_setting2(params: ChainParams, ell: int) -> QetReport:
     half = params.n_sites // 2
     if not 1 <= ell <= half - 2:
         raise ValueError(f"ell must lie in [1, N/2 - 2] = [1, {half - 2}], got {ell}")
-    target = half + ell
-    spec = MeasurementSpec(measured_sites=tuple(range(2 * ell + 1)), omega=params.omega)
-    a_sites = [s for s in range(params.n_sites) if s != target]
-    return _report(build_states(params, spec), target, a_sites=a_sites, b_sites=[target], reduce_pair=False)
+    g, h = correlation_vectors(params.n_sites, params.alpha)
+    size = 2 * ell + 1
+    to_target = half + ell - np.arange(size)
+    j, g_b = h[to_target], g[to_target]
+    t_p = h[:size].copy()
+    t_p[0] += params.omega / 2.0
+    t_q = g[:size].copy()
+    t_q[0] += 1.0 / (2.0 * params.omega)
+    t_p_inv_j = solve_toeplitz(t_p, j)
+    t_q_inv_j, t_q_inv_g_b = solve_toeplitz(t_q, np.column_stack([j, g_b])).T
+    dp, dq = j @ t_p_inv_j, g_b @ t_q_inv_g_b
+    # With x = 2 nu_0 and y = 2 nu_1, each small difference is formed from
+    # its parts, never by subtracting nearly equal numbers:
+    # x^2 - 1 = 4 g_0 h_0 - 1 = -4 sum_{r != 0} g_r h_r because G H = I/4,
+    # a sum whose terms share one sign; x^2 - y^2 = 4 (g_0 dp + h_0 dq - dq dp).
+    x2m1 = max(-4.0 * float(g[1:] @ h[1:]), 0.0)
+    shrink = 4.0 * (g[0] * dp + h[0] * dq - dq * dp)
+    y2m1 = x2m1 - shrink
+    if not y2m1 >= -4.0 * PHYSICALITY_TOL:  # nu_1 below 1/2 - PHYSICALITY_TOL
+        raise NumericsError(f"target symplectic eigenvalue^2 {(1.0 + y2m1) / 4:.6g} < 1/4 after the measurement")
+    y2m1 = max(y2m1, 0.0)
+    x, y = np.sqrt(1.0 + x2m1), np.sqrt(1.0 + y2m1)
+    denominator = y * np.sqrt(x2m1) + x * np.sqrt(y2m1)
+    delta = np.arcsinh(shrink / denominator) / np.log(2.0) if denominator > 0.0 else 0.0
+    return QetReport(
+        optimized_energy=float(-0.5 * (dp + j @ t_q_inv_j)),
+        plan=DisplacementPlan(theta=-t_p_inv_j, phi=-t_q_inv_j),
+        e_n_before=float(np.arcsinh(np.sqrt(x2m1)) / np.log(2.0)),
+        e_n_after=float(np.arcsinh(np.sqrt(y2m1)) / np.log(2.0)),
+        s_m_before=float(2.0 * _entropy_terms(x / 2.0)),
+        s_m_after=float(2.0 * _entropy_terms(y / 2.0)),
+        delta_log_negativity=float(delta),
+    )

@@ -87,17 +87,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "ell=37" in err and "synthetic failure" in err
 
-    def test_failing_shared_state_names_its_sweep_point(self, monkeypatch, capsys):
-        # setting1 builds the measured state once per sweep, outside any row.
-        import qetchain.qet_protocol as qet_protocol
+    def test_failing_setting1_row_names_its_separation(self, monkeypatch, capsys):
+        import qetchain.experiment as experiment
 
-        def boom(params, spec):
-            raise NumericsError("synthetic failure")
+        real = experiment.run_setting1
 
-        monkeypatch.setattr(qet_protocol, "post_measurement_covariance", boom)
+        def flaky(params, d):
+            if d == 3:
+                raise NumericsError("synthetic failure")
+            return real(params, d)
+
+        monkeypatch.setattr(experiment, "run_setting1", flaky)
         assert cli_main(["setting1", "--n", "20", "--alpha", "a1", "--d-max", "5", "--threads", "1"]) == 2
         err = capsys.readouterr().err
-        assert "numerical failure" in err and "N=20, alpha=0.9" in err and "synthetic failure" in err
+        assert "numerical failure" in err and "d=3" in err and "synthetic failure" in err
+
+    @pytest.mark.parametrize("args", [["validate", "--threads", "1"], ["setting1", "--seed", "1"]])
+    def test_flag_the_mode_never_reads_is_rejected(self, args, capsys):
+        assert cli_main(args) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_bad_size_list_names_the_flag(self, capsys):
+        assert cli_main(["size-sweep", "--n-list", "a,b"]) == 1
+        assert "argument --n-list: must be comma-separated integers, got 'a,b'" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_without_warnings():
@@ -141,6 +153,12 @@ class TestConfigFile:
         cfg.write_text("n 16\n")
         assert cli_main(["setting1", "--config", str(cfg)]) == 1
 
+    def test_bad_size_list_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = a1\nn-list = a,b\n")
+        assert cli_main(["size-sweep", "--config", str(cfg)]) == 1
+        assert f"{cfg}:2: malformed value for 'n-list': 'a,b'" in capsys.readouterr().err
+
 
 # One value per flag, each different from the RunConfig default.
 FLAG_VALUES = {
@@ -149,12 +167,22 @@ FLAG_VALUES = {
 }
 
 
+# Each mode's flags, which are also its config keys: a mode takes only what it reads.
+SWEEP_KEYS = {"n", "alpha", "omega", "threads", "fit-min", "fit-max", "out"}
+MODE_KEYS = {
+    "setting1": SWEEP_KEYS | {"d-max"},
+    "setting2": SWEEP_KEYS | {"ell-min", "ell-max"},
+    "size-sweep": SWEEP_KEYS | {"n-list"},
+    "validate": {"n", "alpha", "omega", "seed"},
+}
+
+
 @pytest.mark.parametrize("mode", ["setting1", "setting2", "size-sweep", "validate"])
 def test_every_flag_is_a_config_key_with_the_same_meaning(mode, tmp_path):
     subparser = build_parser().modes[mode]
     keys = [option[2:] for action in subparser._actions for option in action.option_strings
             if option.startswith("--") and option not in ("--config", "--help")]
-    assert set(keys) <= set(FLAG_VALUES)
+    assert set(keys) == MODE_KEYS[mode]
     cfg = tmp_path / "all.cfg"
     cfg.write_text("".join(f"{key} = {FLAG_VALUES[key]}\n" for key in keys))
     from_file = parse_config([mode, "--config", str(cfg)])
@@ -166,7 +194,7 @@ def test_every_flag_is_a_config_key_with_the_same_meaning(mode, tmp_path):
             assert getattr(from_file, action.dest) != getattr(default, action.dest), action.dest
 
 
-@pytest.mark.parametrize("key", ["d-max", "out"])
+@pytest.mark.parametrize("key", ["d-max", "out", "threads"])
 def test_validate_rejects_sweep_keys(key, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {FLAG_VALUES[key]}\n")
@@ -176,7 +204,7 @@ def test_validate_rejects_sweep_keys(key, tmp_path, capsys):
 
 class TestDeterministicOutput:
     def test_same_config_same_bytes(self, tmp_path):
-        args = ["size-sweep", "--alpha", "a1", "--n-list", "6,8,10", "--seed", "5"]
+        args = ["size-sweep", "--alpha", "a1", "--n-list", "6,8,10"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli_main(args + ["--out", str(out1)]) == 0
         assert cli_main(args + ["--out", str(out2)]) == 0

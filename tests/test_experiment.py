@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +116,11 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep_setting2(RunConfig(mode="setting2", n_sites=12, alpha=0.9, ell_max=5))
 
+    def test_decoupled_chain_consumes_no_entanglement(self):
+        table = sweep_setting2(RunConfig(mode="setting2", n_sites=12, alpha=0.0, threads=1))
+        assert np.all(table.column("delta_E_N") == 0.0)
+        assert np.all(np.isnan(table.column("ratio")))  # 0 / 0: no ratio to report
+
     def test_size_sweep_validates_sizes(self):
         with pytest.raises(ValueError):
             sweep_size(RunConfig(mode="size-sweep", alpha=0.9, n_list=(7, 10)))
@@ -143,20 +149,46 @@ def _setting1_row_rebuilt(params: ChainParams, d: int) -> tuple:
     return (d, energy, e_before, e_after, e_before - e_after, s_before, s_after, s_before - s_after)
 
 
-class TestSharedStates:
+def _cells_close(column: str, got: float, ref: float) -> bool:
+    # The benchmark gate's tolerance: 1e-9 relative plus an absolute floor
+    # under which a cell holds round-off.
+    floor = 1e-20 if column == "E_B_opt" else 1e-10
+    return abs(got - ref) <= 1e-9 * abs(ref) + floor
+
+
+class TestSetting1Sweep:
     @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("preset", ["a1", "a4"])
-    def test_setting1_rows_equal_per_row_rebuild(self, preset, threads):
+    def test_rows_match_full_state_rebuild(self, preset, threads):
         config = RunConfig(mode="setting1", n_sites=100, alpha=ALPHA_PRESETS[preset], d_max=40, threads=threads)
         expected = tuple(_setting1_row_rebuilt(config.params(), d) for d in range(41))
         correlation_vectors.cache_clear()
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # pool threads interleave often over the shared states
+        sys.setswitchinterval(1e-6)  # pool threads interleave often over the memoised correlators
         try:
-            rows = sweep_setting1(config).rows
+            table = sweep_setting1(config)
         finally:
             sys.setswitchinterval(interval)
-        assert rows == expected
+        for row, ref in zip(table.rows, expected, strict=True):
+            assert row[0] == ref[0]
+            for column, got, want in zip(table.columns[1:], row[1:], ref[1:]):
+                assert _cells_close(column, got, want), (row[0], column, got, want)
+
+
+# 50-digit values from scripts/high_precision_delta_e_n.py.
+HIGH_PRECISION_TABLE = Path(__file__).resolve().parent / "data" / "setting2_delta_e_n_a1.csv"
+
+
+def test_setting2_entanglement_drop_matches_high_precision_table():
+    lines = HIGH_PRECISION_TABLE.read_text().split()
+    assert lines[0] == "N,alpha,omega,ell,delta_E_N"
+    for line in lines[1:]:
+        n, alpha, omega, ell, want = line.split(",")
+        config = RunConfig(mode="setting2", n_sites=int(n), alpha=float(alpha), omega=float(omega),
+                           ell_min=int(ell), ell_max=int(ell), threads=1)
+        got = sweep_setting2(config).column("delta_E_N")[0]
+        # The correlators' cosine table leaves 4.8e-5 at ell = 1.
+        assert got == pytest.approx(float(want), rel=1e-4, abs=0.0), line
 
 
 class TestDeterminism:
@@ -170,6 +202,11 @@ class TestDeterminism:
         serial = RunConfig(mode="setting2", n_sites=16, alpha=0.9, threads=1)
         pooled = RunConfig(mode="setting2", n_sites=16, alpha=0.9, threads=4)
         assert render_csv(sweep_setting2(serial)) == render_csv(sweep_setting2(pooled))
+
+    def test_setting1_thread_count_does_not_change_bytes(self):
+        serial = RunConfig(mode="setting1", n_sites=60, alpha=0.95, d_max=25, threads=1)
+        pooled = RunConfig(mode="setting1", n_sites=60, alpha=0.95, d_max=25, threads=4)
+        assert render_csv(sweep_setting1(serial)) == render_csv(sweep_setting1(pooled))
 
 
 class TestFormatting:

@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from qetchain import (
+    ALPHA_PRESETS,
     ChainParams,
     DisplacementPlan,
     MeasurementSpec,
     build_quadratics,
-    build_states,
+    correlation_vectors,
+    ground_covariance,
+    log_negativity,
+    mutual_information,
     optimal_plan,
     optimized_energy,
     plan_energy,
+    post_measurement_covariance,
+    reduce,
     run_setting1,
     run_setting2,
-    setting1_report,
 )
 
-A4 = 1.0 - 1e-7
+A1, A3, A4 = (ALPHA_PRESETS[k] for k in ("a1", "a3", "a4"))
 T_P_FROZEN = 0.9618290801532325  # h0 + 1/2 at N=4, alpha=0.9, omega=1
 
 
@@ -44,6 +50,18 @@ class TestBuildQuadratics:
         np.testing.assert_allclose(a.j_p, b.j_p, atol=1e-12)
         np.testing.assert_allclose(a.j_q, b.j_q, atol=1e-12)
         np.testing.assert_allclose(a.t_p, b.t_p, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 10, 100, 400])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, A1, A4])
+    def test_position_coupling_is_the_momentum_correlator(self, n, alpha):
+        # J_q was once built as g_r - (alpha/2)(g_{r-1} + g_{r+1}) over the
+        # target's neighbors; on the ring that combination is h_r.
+        g, h = correlation_vectors(n, alpha)
+        r = np.arange(n)
+        neighbor_form = g - (alpha / 2.0) * (g[(r - 1) % n] + g[(r + 1) % n])
+        assert np.abs(neighbor_form - h).max() <= 1e-13
+        quad = build_quadratics(ChainParams(n_sites=n, alpha=alpha), MeasurementSpec(measured_sites=(0, 1)), n // 2)
+        np.testing.assert_array_equal(quad.j_q, quad.j_p)
 
     def test_forms_positive_definite(self):
         params = ChainParams(n_sites=12, alpha=0.99, omega=0.5)
@@ -124,9 +142,6 @@ class TestRunSetting1:
             run_setting1(params, -1)
         with pytest.raises(ValueError):
             run_setting1(params, 9)  # target would wrap onto the measured site
-        block = build_states(params, MeasurementSpec(measured_sites=(0, 1), omega=params.omega))
-        with pytest.raises(ValueError, match="site 0 alone"):
-            setting1_report(block, 2)
 
     def test_separability_structure(self):
         params = ChainParams(n_sites=20, alpha=0.9)
@@ -175,3 +190,68 @@ class TestRunSetting2:
         assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
         assert max(ratios) == ratios[-1]
         assert all(r < 1 for r in ratios)
+
+
+# The full-state route: whole-chain ground and post-measurement covariances,
+# then negativity and mutual information from their symplectic spectra.
+ENTANGLEMENT_FLOOR = 1e-10
+ENERGY_FLOOR = 1e-20
+
+
+def _close(got, ref, floor):
+    return abs(got - ref) <= 1e-9 * abs(ref) + floor
+
+
+class TestClosedFormsMatchFullStateRoute:
+    # Every row of N in {10, 40, 100} x alpha x omega in {0.5, 1, 2}.  The
+    # ground state does not depend on omega, so its route runs once per row.
+    OMEGAS = (0.5, 1.0, 2.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, A1, A3, A4])
+    @pytest.mark.parametrize("n", [10, 40, 100])
+    def test_setting1(self, n, alpha):
+        ground = ground_covariance(ChainParams(n_sites=n, alpha=alpha))
+        before = [(log_negativity(reduce(ground, [0, d + 1]), [1]), mutual_information(ground, [0], [d + 1]))
+                  for d in range(n - 1)]
+        for omega in self.OMEGAS:
+            params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
+            spec = MeasurementSpec(measured_sites=(0,), omega=omega)
+            measured = post_measurement_covariance(params, spec).covariance
+            for d, (e_n_before, s_m_before) in enumerate(before):
+                rep = run_setting1(params, d)
+                ref = (e_n_before, log_negativity(reduce(measured, [0, d + 1]), [1]),
+                       s_m_before, mutual_information(measured, [0], [d + 1]))
+                got = (rep.e_n_before, rep.e_n_after, rep.s_m_before, rep.s_m_after)
+                assert all(_close(a, b, ENTANGLEMENT_FLOOR) for a, b in zip(got, ref)), (omega, d, got, ref)
+                assert rep.delta_log_negativity == rep.e_n_before - rep.e_n_after
+
+    @pytest.mark.parametrize("alpha", [0.3, A1, A3, A4])
+    @pytest.mark.parametrize("n", [10, 40, 100])
+    def test_setting2(self, n, alpha):
+        g, h = correlation_vectors(n, alpha)
+        ground = ground_covariance(ChainParams(n_sites=n, alpha=alpha))
+        ells = range(1, n // 2 - 1)
+        rests = {ell: [s for s in range(n) if s != n // 2 + ell] for ell in ells}
+        before = {ell: (log_negativity(ground, [n // 2 + ell]), mutual_information(ground, rests[ell], [n // 2 + ell]))
+                  for ell in ells}
+        for omega in self.OMEGAS:
+            params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
+            for ell in ells:
+                rep = run_setting2(params, ell)
+                target, size = n // 2 + ell, 2 * ell + 1
+                spec = MeasurementSpec(measured_sites=tuple(range(size)), omega=omega)
+                after = post_measurement_covariance(params, spec).covariance
+                ref = (before[ell][0], log_negativity(after, [target]),
+                       before[ell][1], mutual_information(after, rests[ell], [target]))
+                got = (rep.e_n_before, rep.e_n_after, rep.s_m_before, rep.s_m_after)
+                assert all(_close(a, b, ENTANGLEMENT_FLOOR) for a, b in zip(got, ref)), (omega, ell, got, ref)
+                assert _close(rep.delta_log_negativity, ref[0] - ref[1], ENTANGLEMENT_FLOOR), (omega, ell)
+                assert _close(rep.optimized_energy, optimized_energy(build_quadratics(params, spec, target)),
+                              ENERGY_FLOOR), (omega, ell)
+                # Backward error of the Levinson plan on the dense Toeplitz
+                # forms; up to 5e-15 relative over N <= 400.
+                j = h[target - np.arange(size)]
+                for t, x in ((toeplitz(h[:size]) + (omega / 2) * np.eye(size), rep.plan.theta),
+                             (toeplitz(g[:size]) + np.eye(size) / (2 * omega), rep.plan.phi)):
+                    scale = np.abs(t).max() * np.abs(x).max() + np.abs(j).max()
+                    assert np.abs(t @ x + j).max() <= 1e-13 * scale, (omega, ell)
