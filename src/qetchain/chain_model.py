@@ -110,9 +110,10 @@ def build_correlations(params: ChainParams) -> Correlations:
 def _distance_table(row_sites, col_sites, n_sites: int) -> np.ndarray:
     rows = np.asarray(list(row_sites), dtype=int)
     cols = np.asarray(list(col_sites), dtype=int)
-    for s in np.concatenate([rows, cols]):
-        if not 0 <= s < n_sites:
-            raise ValueError(f"site index {s} out of range for N={n_sites}")
+    sites = np.concatenate([rows, cols])
+    outside = (sites < 0) | (sites >= n_sites)
+    if outside.any():
+        raise ValueError(f"site index {sites[outside.argmax()]} out of range for N={n_sites}")
     # g and h are periodic-symmetric, so the mod-N index difference suffices.
     return (rows[:, None] - cols[None, :]) % n_sites
 

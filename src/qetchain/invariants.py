@@ -53,12 +53,14 @@ def unmeasured_purity_deviation(params: ChainParams, spec: MeasurementSpec) -> f
 def general_dyne_deviation(sizes, alphas, omegas, groups) -> float:
     """Largest entry difference between general-dyne conditioning and the Schur construction."""
     dev = 0.0
-    for n, alpha, omega, measured in product(sizes, alphas, omegas, groups):
-        params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
-        spec = MeasurementSpec(measured_sites=measured, omega=omega)
-        ref = reduce(post_measurement_covariance(params, spec).covariance, unmeasured_sites(params, spec))
-        got = general_dyne_update(ground_covariance(params), measured, omega).conditional_covariance
-        dev = max(dev, float(np.abs(got.q - ref.q).max()), float(np.abs(got.p - ref.p).max()))
+    for n, alpha in product(sizes, alphas):
+        ground = ground_covariance(ChainParams(n_sites=n, alpha=alpha))  # independent of omega
+        for omega, measured in product(omegas, groups):
+            params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
+            spec = MeasurementSpec(measured_sites=measured, omega=omega)
+            ref = reduce(post_measurement_covariance(params, spec).covariance, unmeasured_sites(params, spec))
+            got = general_dyne_update(ground, measured, omega).conditional_covariance
+            dev = max(dev, float(np.abs(got.q - ref.q).max()), float(np.abs(got.p - ref.p).max()))
     return dev
 
 
@@ -70,9 +72,15 @@ def fock_negativity_deviation(fock: FockState, alpha: float) -> float:
 def sampled_plan_energies(params: ChainParams, spec: MeasurementSpec, target: int, scaled_plans,
                           samples: int) -> tuple[float, list[tuple[float, float]]]:
     """The analytic optimum at target, and the Monte Carlo (mean, standard error) of the optimal
-    plan with theta and phi scaled, for each (theta factor, phi factor, seed) in scaled_plans."""
+    plan with theta and phi scaled, for each (theta factor, phi factor, seed) in scaled_plans.
+    Plans that share a seed share one Monte Carlo draw."""
     quad = build_quadratics(params, spec, target)
     plan = optimal_plan(quad)
     analytic = optimized_energy(quad)
-    return analytic, [monte_carlo_energy(params, spec, target, DisplacementPlan(plan.theta * t, plan.phi * p),
-                                         samples, seed) for t, p, seed in scaled_plans]
+    plans = [DisplacementPlan(plan.theta * t, plan.phi * p) for t, p, _ in scaled_plans]
+    seeds = [seed for _, _, seed in scaled_plans]
+    sampled = {}
+    for seed in dict.fromkeys(seeds):
+        group = [i for i, s in enumerate(seeds) if s == seed]
+        sampled.update(zip(group, monte_carlo_energy(params, spec, target, [plans[i] for i in group], samples, seed)))
+    return analytic, [sampled[i] for i in range(len(plans))]

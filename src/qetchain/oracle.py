@@ -7,9 +7,11 @@ is checking:
   covariance and the outcome-to-mean gain directly from the full
   phase-space covariance, and a Monte Carlo estimator that replays the
   protocol (sample outcome, condition, displace, read off the target
-  energy) sample by sample;
+  energy) sample by sample, evaluating several plans on one draw;
 * a truncated two-oscillator number-basis diagonalization whose exact
-  density matrix cross-checks the Gaussian negativity and correlators.
+  state cross-checks the Gaussian negativity and correlators.  It solves
+  only the block of even n0 + n1, where the ground state lies, and reads
+  the negativity of that pure state from its Schmidt coefficients.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ def general_dyne_update(V: CovarianceMatrix, measured, omega: float) -> GeneralD
     meas = list(measured)
     if not meas:
         raise ValueError("measured subset must be non-empty")
-    rest = [s for s in range(V.n_modes) if s not in set(meas)]
+    measured_set = set(meas)
+    rest = [s for s in range(V.n_modes) if s not in measured_set]
     if not rest:
         raise ValueError("measured subset must be a proper subset of the modes")
     mi = np.array([j for s in meas for j in (2 * s, 2 * s + 1)])
@@ -81,13 +84,15 @@ def monte_carlo_energy(
     params: ChainParams,
     spec: MeasurementSpec,
     target_site: int,
-    plan: DisplacementPlan,
+    plans,
     n_samples: int,
     seed: int,
-) -> tuple[float, float]:
-    """Sampled mean and standard error of the target-site energy under a plan.
+) -> list[tuple[float, float]]:
+    """Sampled mean and standard error of the target-site energy under each plan.
 
-    Per sample: draw an outcome (X, P), form the conditional means of the
+    All plans are evaluated on one draw of n_samples outcomes, so a plan's
+    result does not depend on which other plans share the call.  Per
+    sample: draw an outcome (X, P), form the conditional means of the
     target and its neighbors through the general-dyne gain, shift the
     target means by (phi . X, theta . P), and evaluate the target energy
 
@@ -95,12 +100,14 @@ def monte_carlo_energy(
 
     minus its ground-state value, counting the target's bonds in full (a
     displacement at B changes the chain energy only through these terms,
-    so the sample mean of this quantity is exactly the displacement
-    energy that the analytic quadratic form minimizes).
+    so for a target with no measured neighbor the sample mean of this
+    quantity is exactly the displacement energy that the analytic
+    quadratic form minimizes).
     """
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
-    if plan.theta.size != len(spec.measured_sites):
+    plans = list(plans)
+    if any(plan.theta.size != len(spec.measured_sites) for plan in plans):
         raise ValueError("plan length does not match the measured group")
     corr = build_correlations(params)
     alpha = params.alpha
@@ -110,33 +117,44 @@ def monte_carlo_energy(
     pos = {s: i for i, s in enumerate(rest)}
     upd = general_dyne_update(ground_covariance(params), spec.measured_sites, spec.omega)
     cond = upd.conditional_covariance.matrix
+    gain_x, gain_p = upd.gain[:, 0::2], upd.gain[:, 1::2]  # columns act on X and on P
 
     b = pos[target_site]
-    var_q = cond[2 * b, 2 * b]
-    var_p = cond[2 * b + 1, 2 * b + 1]
-    neighbors = [(target_site - 1) % params.n_sites, (target_site + 1) % params.n_sites]
+    # Coefficients on (X, P) of the summed neighbor position means: a gain row
+    # for an unmeasured neighbor; for a measured one the outcome itself, since
+    # its post-measurement mean is X and it carries no covariance with the target.
+    neighbor_x, neighbor_p = np.zeros(len(spec.measured_sites)), np.zeros(len(spec.measured_sites))
+    constant = 0.5 * (cond[2 * b, 2 * b] + cond[2 * b + 1, 2 * b + 1])
+    constant -= 0.5 * (corr.h[0] + corr.g[0]) - alpha * corr.g[1]  # ground-state value
+    for s in ((target_site - 1) % params.n_sites, (target_site + 1) % params.n_sites):
+        if s in pos:
+            neighbor_x += gain_x[2 * pos[s]]
+            neighbor_p += gain_p[2 * pos[s]]
+            constant -= (alpha / 2.0) * cond[2 * b, 2 * pos[s]]
+        else:
+            neighbor_x[spec.measured_sites.index(s)] += 1.0
+
+    # One coefficient matrix per outcome channel: row 0 is the neighbor sum,
+    # rows 2i + 1 and 2i + 2 the target's q and p means under plan i.
+    coef_x, coef_p = [neighbor_x], [neighbor_p]
+    for plan in plans:
+        coef_x += [gain_x[2 * b] + plan.phi, gain_x[2 * b + 1]]
+        coef_p += [gain_p[2 * b], gain_p[2 * b + 1] + plan.theta]
+    coef_x, coef_p = np.array(coef_x), np.array(coef_p)
 
     xs, ps = sample_outcomes(outcome_distribution(params, spec), seed, n_samples)
-    z = np.empty((n_samples, 2 * len(spec.measured_sites)))
-    z[:, 0::2] = xs
-    z[:, 1::2] = ps
-    mean_q_b = z @ upd.gain[2 * b] + xs @ plan.phi
-    mean_p_b = z @ upd.gain[2 * b + 1] + ps @ plan.theta
 
-    energy = 0.5 * (var_p + mean_p_b**2) + 0.5 * (var_q + mean_q_b**2)
-    for s in neighbors:
-        if s in pos:
-            j = pos[s]
-            mean_q_s = z @ upd.gain[2 * j]
-            energy -= (alpha / 2.0) * (cond[2 * b, 2 * j] + mean_q_b * mean_q_s)
-        else:
-            # Measured neighbor: its post-measurement mean is the outcome
-            # itself and it carries no covariance with the target.
-            col = spec.measured_sites.index(s)
-            energy -= (alpha / 2.0) * mean_q_b * xs[:, col]
-    ground_value = 0.5 * (corr.h[0] + corr.g[0]) - alpha * corr.g[1]
-    energy -= ground_value
-    return float(energy.mean()), float(energy.std(ddof=1) / np.sqrt(n_samples))
+    def mean(row: int) -> np.ndarray:
+        return xs @ coef_x[row] + ps @ coef_p[row]
+
+    neighbors = mean(0)
+
+    def estimate(i: int) -> tuple[float, float]:
+        mean_q_b, mean_p_b = mean(2 * i + 1), mean(2 * i + 2)
+        energy = 0.5 * (mean_p_b**2 + mean_q_b**2) - (alpha / 2.0) * mean_q_b * neighbors + constant
+        return float(energy.mean()), float(energy.std(ddof=1) / np.sqrt(n_samples))
+
+    return [estimate(i) for i in range(len(plans))]
 
 
 @dataclass(frozen=True)
@@ -165,17 +183,28 @@ def _position_operator(cutoff: int) -> np.ndarray:
     return (a + a.T) / np.sqrt(2.0)
 
 
-def _two_mode_hamiltonian(alpha: float, cutoff: int) -> np.ndarray:
-    # Two sites on a ring of two: both bonds join the same pair, so the
-    # coupling is -alpha q0 q1 in total.
-    number = np.diag(np.arange(cutoff) + 0.5)
-    eye = np.eye(cutoff)
+def _number_basis(cutoff: int) -> np.ndarray:
+    """All (n0, n1) pairs below the cutoff, rows in the order of amplitudes.reshape(-1)."""
+    return np.indices((cutoff, cutoff)).reshape(2, -1).T
+
+
+def _two_mode_hamiltonian(alpha: float, cutoff: int, basis: np.ndarray) -> np.ndarray:
+    """Matrix of the coupled-pair Hamiltonian between the (n0, n1) states listed in basis.
+
+    Two sites on a ring of two: both bonds join the same pair, so the
+    coupling is -alpha q0 q1 in total, and the entries are
+    (n0 + n1 + 1) delta - alpha q[n0, n0'] q[n1, n1'].
+    """
     q = _position_operator(cutoff)
-    return np.kron(number, eye) + np.kron(eye, number) - alpha * np.kron(q, q)
+    n0, n1 = basis[:, 0], basis[:, 1]
+    return np.diag(n0 + n1 + 1.0) - alpha * (q[np.ix_(n0, n0)] * q[np.ix_(n1, n1)])
 
 
 def fock_ground_state(alpha: float, cutoff: int = 25) -> FockState:
     """Exact ground state of two coupled oscillators in a truncated number basis.
+
+    The coupling changes n0 + n1 by 0 or +-2, and the ground state lies in
+    the block of even n0 + n1, so only that block is diagonalized.
 
     Raises NumericsError when the truncation is too tight, i.e. when the
     top number level of either mode holds more than 1e-6 population.
@@ -184,11 +213,13 @@ def fock_ground_state(alpha: float, cutoff: int = 25) -> FockState:
         raise ValueError(f"cutoff must be >= 10, got {cutoff}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    h = _two_mode_hamiltonian(alpha, cutoff)
-    _, vec = eigh(h, subset_by_index=[0, 0])
+    basis = _number_basis(cutoff)
+    basis = basis[basis.sum(axis=1) % 2 == 0]
+    _, vec = eigh(_two_mode_hamiltonian(alpha, cutoff, basis), subset_by_index=[0, 0])
     psi = vec[:, 0]
     psi = psi * np.sign(psi[np.argmax(np.abs(psi))])
-    amp = psi.reshape(cutoff, cutoff)
+    amp = np.zeros((cutoff, cutoff))
+    amp[basis[:, 0], basis[:, 1]] = psi
     top = max(np.sum(amp[-1, :] ** 2), np.sum(amp[:, -1] ** 2))
     if top > TOP_LEVEL_POPULATION_TOL:
         raise NumericsError(f"top-level population {top:.3e} exceeds 1e-6; raise the cutoff")
@@ -197,26 +228,27 @@ def fock_ground_state(alpha: float, cutoff: int = 25) -> FockState:
 
 def fock_energy(state: FockState, alpha: float) -> float:
     """Variational energy of a two-mode state under the coupled-pair Hamiltonian."""
-    h = _two_mode_hamiltonian(alpha, state.cutoff)
+    h = _two_mode_hamiltonian(alpha, state.cutoff, _number_basis(state.cutoff))
     psi = state.amplitudes.reshape(-1)
     return float(np.real(np.conj(psi) @ h @ psi))
 
 
 def fock_position_correlator(state: FockState) -> float:
-    """<q0 q1> evaluated directly in the number basis."""
+    """<q0 q1> evaluated directly in the number basis: sum of conj(a) * (q a q^T)."""
     q = _position_operator(state.cutoff)
     amp = state.amplitudes
-    return float(np.real(np.einsum("ij,ik,jl,kl->", np.conj(amp), q, q, amp)))
+    return float(np.real(np.sum(np.conj(amp) * (q @ amp @ q.T))))
 
 
 def fock_log_negativity(state: FockState) -> float:
-    """log2 of the trace norm of the density matrix partially transposed on mode 1."""
-    amp = state.amplitudes
-    rho = np.einsum("ij,kl->ijkl", amp, np.conj(amp))
-    c = state.cutoff
-    rho_pt = rho.transpose(0, 3, 2, 1).reshape(c * c, c * c)
-    eigenvalues = np.linalg.eigvalsh((rho_pt + rho_pt.conj().T) / 2)
-    return float(np.log2(np.sum(np.abs(eigenvalues))))
+    """log2 of the trace norm of the density matrix partially transposed on mode 1.
+
+    For a pure state that trace norm is (sum_k s_k)^2 over the Schmidt
+    coefficients s_k, the singular values of the amplitude matrix
+    (Vidal and Werner, PRA 65, 032314 (2002)).
+    """
+    schmidt = np.linalg.svd(state.amplitudes, compute_uv=False)
+    return float(2.0 * np.log2(np.sum(schmidt)))
 
 
 def two_mode_ground_covariance(alpha: float) -> CovarianceMatrix:

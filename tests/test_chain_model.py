@@ -146,6 +146,15 @@ class TestCorrelationSubmatrices:
         with pytest.raises(ValueError):
             correlation_submatrices(params, [0, 4], [0])
 
+    @pytest.mark.parametrize("rows,cols,first", [
+        ([0, 5, -1], [0, 6], 5),  # out-of-range row, rows checked before columns
+        ([0, 1], [2, -3, 7], -3),  # out-of-range column
+    ])
+    def test_error_names_first_out_of_range_index(self, rows, cols, first):
+        params = ChainParams(n_sites=4, alpha=0.9)
+        with pytest.raises(ValueError, match=rf"^site index {first} out of range for N=4$"):
+            correlation_submatrices(params, rows, cols)
+
 
 class TestGroundCovariance:
     def test_decoupled_vacuum(self):

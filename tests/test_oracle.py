@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from qetchain import (
     ChainParams,
@@ -20,10 +23,59 @@ from qetchain import (
     optimized_energy,
     post_measurement_covariance,
     reduce,
+    sample_outcomes,
     two_mode_ground_covariance,
     unmeasured_sites,
 )
+from qetchain import oracle
 from qetchain.oracle import FockState, fock_energy
+
+
+# Every (alpha, cutoff) at which the tests, validate and the acceptance criteria solve the pair.
+GROUND_STATE_PAIRS = [(0.0, 12), (0.5, 25), (0.9, 12), (0.9, 16), (0.9, 20), (0.9, 25)]
+
+
+def reference_position_operator(cutoff):
+    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
+    return (a + a.T) / np.sqrt(2.0)
+
+
+def full_basis_ground_state(alpha, cutoff):
+    """Slow reference: lowest eigenvector of the full cutoff**2 Hamiltonian built with np.kron."""
+    number = np.diag(np.arange(cutoff) + 0.5)
+    eye = np.eye(cutoff)
+    q = reference_position_operator(cutoff)
+    h = np.kron(number, eye) + np.kron(eye, number) - alpha * np.kron(q, q)
+    _, vec = eigh(h, subset_by_index=[0, 0])
+    psi = vec[:, 0]
+    return (psi * np.sign(psi[np.argmax(np.abs(psi))])).reshape(cutoff, cutoff)
+
+
+def partial_transpose_log_negativity(amp):
+    """Slow reference: log2 trace norm of the explicit partially transposed density matrix."""
+    c = amp.shape[0]
+    rho = np.einsum("ij,kl->ijkl", amp, np.conj(amp))
+    rho_pt = rho.transpose(0, 3, 2, 1).reshape(c * c, c * c)
+    return float(np.log2(np.sum(np.abs(np.linalg.eigvalsh((rho_pt + rho_pt.conj().T) / 2)))))
+
+
+def einsum_position_correlator(amp):
+    """Slow reference: <q0 q1> as the four-index sum over number states."""
+    q = reference_position_operator(amp.shape[0])
+    return float(np.real(np.einsum("ij,ik,jl,kl->", np.conj(amp), q, q, amp)))
+
+
+@st.composite
+def pure_two_mode_states(draw):
+    """Normalised real or complex amplitude matrices with cutoff 1..6."""
+    c = draw(st.integers(1, 6))
+    entries = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=c * c, max_size=c * c)
+    amp = np.array(draw(entries)).reshape(c, c)
+    if draw(st.booleans()):
+        amp = amp + 1j * np.array(draw(entries)).reshape(c, c)
+    norm = np.sqrt(np.sum(np.abs(amp) ** 2))
+    assume(norm > 1e-3)
+    return FockState(cutoff=c, amplitudes=amp / norm)
 
 
 class TestGeneralDyneUpdate:
@@ -62,7 +114,7 @@ class TestMonteCarloEnergy:
         params = ChainParams(n_sites=8, alpha=0.0)
         spec = MeasurementSpec(measured_sites=(0,))
         plan = DisplacementPlan(theta=[0.0], phi=[0.0])
-        mean, se = monte_carlo_energy(params, spec, 4, plan, 10_000, seed=1)
+        [(mean, se)] = monte_carlo_energy(params, spec, 4, [plan], 10_000, seed=1)
         assert abs(mean) <= 3 * se
         assert abs(mean) < 1e-3
 
@@ -71,7 +123,7 @@ class TestMonteCarloEnergy:
         spec = MeasurementSpec(measured_sites=(0,))
         quad = build_quadratics(params, spec, 2)
         plan = optimal_plan(quad)
-        mean, se = monte_carlo_energy(params, spec, 2, plan, 200_000, seed=2024)
+        [(mean, se)] = monte_carlo_energy(params, spec, 2, [plan], 200_000, seed=2024)
         assert abs(mean - optimized_energy(quad)) <= 3 * se
 
     def test_agrees_for_multi_site_group(self):
@@ -79,7 +131,7 @@ class TestMonteCarloEnergy:
         spec = MeasurementSpec(measured_sites=(0, 1, 2), omega=0.7)
         quad = build_quadratics(params, spec, 5)
         plan = optimal_plan(quad)
-        mean, se = monte_carlo_energy(params, spec, 5, plan, 200_000, seed=7)
+        [(mean, se)] = monte_carlo_energy(params, spec, 5, [plan], 200_000, seed=7)
         assert abs(mean - optimized_energy(quad)) <= 3 * se
 
     def test_agrees_on_a_wider_small_grid(self):
@@ -87,7 +139,7 @@ class TestMonteCarloEnergy:
         spec = MeasurementSpec(measured_sites=(0, 1), omega=2.0)
         quad = build_quadratics(params, spec, 7)
         plan = optimal_plan(quad)
-        mean, se = monte_carlo_energy(params, spec, 7, plan, 200_000, seed=17)
+        [(mean, se)] = monte_carlo_energy(params, spec, 7, [plan], 200_000, seed=17)
         assert abs(mean - optimized_energy(quad)) <= 3 * se
 
     def test_standard_error_scales_as_inverse_root_n(self):
@@ -95,19 +147,18 @@ class TestMonteCarloEnergy:
         spec = MeasurementSpec(measured_sites=(0,))
         quad = build_quadratics(params, spec, 3)
         plan = optimal_plan(quad)
-        _, se_small = monte_carlo_energy(params, spec, 3, plan, 20_000, seed=5)
-        _, se_large = monte_carlo_energy(params, spec, 3, plan, 80_000, seed=6)
+        [(_, se_small)] = monte_carlo_energy(params, spec, 3, [plan], 20_000, seed=5)
+        [(_, se_large)] = monte_carlo_energy(params, spec, 3, [plan], 80_000, seed=6)
         assert se_small / se_large == pytest.approx(2.0, rel=0.2)
 
     def test_perturbed_plan_is_strictly_worse(self):
-        # Common random numbers: the same seed isolates the plan difference.
+        # Common random numbers: one shared draw isolates the plan difference.
         params = ChainParams(n_sites=100, alpha=0.9)
         spec = MeasurementSpec(measured_sites=(0,))
         quad = build_quadratics(params, spec, 2)
         plan = optimal_plan(quad)
         bumped = DisplacementPlan(theta=plan.theta * 1.1, phi=plan.phi * 1.1)
-        mean_opt, _ = monte_carlo_energy(params, spec, 2, plan, 200_000, seed=31)
-        mean_bad, _ = monte_carlo_energy(params, spec, 2, bumped, 200_000, seed=31)
+        [(mean_opt, _), (mean_bad, _)] = monte_carlo_energy(params, spec, 2, [plan, bumped], 200_000, seed=31)
         assert mean_bad > mean_opt
         # the excess is the quadratic form of the bump: 0.01/2 * J T^-1 J per channel
         gap = 0.005 * (quad.j_p @ np.linalg.solve(quad.t_p, quad.j_p)
@@ -119,12 +170,34 @@ class TestMonteCarloEnergy:
         spec = MeasurementSpec(measured_sites=(0,))
         plan = DisplacementPlan(theta=[0.0], phi=[0.0])
         with pytest.raises(ValueError):
-            monte_carlo_energy(params, spec, 4, plan, 999, seed=1)
+            monte_carlo_energy(params, spec, 4, [plan], 999, seed=1)
         with pytest.raises(ValueError):
-            monte_carlo_energy(params, spec, 0, plan, 10_000, seed=1)  # target measured
+            monte_carlo_energy(params, spec, 0, [plan], 10_000, seed=1)  # target measured
         long_plan = DisplacementPlan(theta=[0.0, 0.0], phi=[0.0, 0.0])
         with pytest.raises(ValueError):
-            monte_carlo_energy(params, spec, 4, long_plan, 10_000, seed=1)
+            monte_carlo_energy(params, spec, 4, [long_plan], 10_000, seed=1)
+        for plans in ([plan, long_plan], [long_plan, plan]):
+            with pytest.raises(ValueError, match="plan length"):
+                monte_carlo_energy(params, spec, 4, plans, 10_000, seed=1)
+
+    @pytest.mark.parametrize("target", [3, 5])  # 3 has a measured neighbor, 5 does not
+    def test_shared_draw_equals_one_plan_calls(self, monkeypatch, target):
+        params = ChainParams(n_sites=8, alpha=0.9, omega=0.7)
+        spec = MeasurementSpec(measured_sites=(0, 1, 2), omega=0.7)
+        plan = optimal_plan(build_quadratics(params, spec, target))
+        bumped = DisplacementPlan(theta=plan.theta * 1.1, phi=plan.phi * 0.8)
+        separate = (monte_carlo_energy(params, spec, target, [plan], 20_000, seed=3)
+                    + monte_carlo_energy(params, spec, target, [bumped], 20_000, seed=3))
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return sample_outcomes(*args)
+
+        monkeypatch.setattr(oracle, "sample_outcomes", counted)
+        shared = monte_carlo_energy(params, spec, target, [plan, bumped], 20_000, seed=3)
+        assert shared == separate
+        assert len(draws) == 1
 
 
 class TestFockGroundState:
@@ -147,6 +220,19 @@ class TestFockGroundState:
         exact = (np.sqrt(0.1) + np.sqrt(1.9)) / 2
         assert energies[-1] == pytest.approx(exact, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha,cutoff", GROUND_STATE_PAIRS)
+    def test_even_block_matches_full_basis(self, alpha, cutoff):
+        got = fock_ground_state(alpha, cutoff=cutoff).amplitudes
+        np.testing.assert_allclose(got, full_basis_ground_state(alpha, cutoff), rtol=0, atol=1e-12)
+        # odd n0 + n1 amplitudes are exactly zero
+        assert np.all(got[np.add.outer(np.arange(cutoff), np.arange(cutoff)) % 2 == 1] == 0.0)
+
+    @pytest.mark.parametrize("alpha,cutoff", GROUND_STATE_PAIRS)
+    def test_correlator_matches_four_index_sum(self, alpha, cutoff):
+        state = fock_ground_state(alpha, cutoff=cutoff)
+        assert fock_position_correlator(state) == pytest.approx(einsum_position_correlator(state.amplitudes),
+                                                                rel=0, abs=1e-12)
+
     def test_correlator_matches_mode_sum(self):
         state = fock_ground_state(0.9, cutoff=25)
         g, _ = correlation_vectors(2, 0.9)
@@ -167,6 +253,20 @@ class TestFockLogNegativity:
         errors = [abs(fock_log_negativity(fock_ground_state(0.9, cutoff=c)) - reference)
                   for c in (12, 16, 20, 25)]
         assert all(b < a for a, b in zip(errors, errors[1:]))
+
+    @pytest.mark.parametrize("cutoff", [12, 16, 20, 25])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    def test_schmidt_route_matches_partial_transpose(self, alpha, cutoff):
+        state = fock_ground_state(alpha, cutoff=cutoff)
+        reference = partial_transpose_log_negativity(state.amplitudes)
+        assert fock_log_negativity(state) == pytest.approx(reference, rel=0, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pure_two_mode_states())
+    def test_schmidt_and_contraction_on_random_pure_states(self, state):
+        amp = state.amplitudes
+        assert fock_log_negativity(state) == pytest.approx(partial_transpose_log_negativity(amp), rel=0, abs=1e-12)
+        assert fock_position_correlator(state) == pytest.approx(einsum_position_correlator(amp), rel=0, abs=1e-12)
 
     def test_coherent_product_state_is_separable(self):
         import math
