@@ -13,9 +13,12 @@ ground-state correlators
     g_r = <q_i q_{i+r}> = (1/N) sum_k cos(r theta_k) / (2 omega_k)
     h_r = <p_i p_{i+r}> = (1/N) sum_k (omega_k / 2) cos(r theta_k)
 
-assemble into circulant matrices G and H with G H = (1/4) I.  The per-site
-energy offset epsilon is fixed so each site has zero energy in the ground
-state, which forces the virial identity h_0 = g_0 - alpha g_1.
+assemble into circulant matrices G and H with G H = (1/4) I.  Both sums are
+the real parts of one discrete Fourier transform, so the vectors cost
+O(N log N) time and O(N) memory; no N x N matrix is built unless a caller
+asks for the full ground covariance.  The per-site energy offset epsilon is
+fixed so each site has zero energy in the ground state, which forces the
+virial identity h_0 = g_0 - alpha g_1.
 """
 
 from __future__ import annotations
@@ -83,18 +86,17 @@ def dispersion(params: ChainParams, k: int) -> float:
 def correlation_vectors(n_sites: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Correlator vectors (g, h) for any even ring size >= 2, as read-only arrays.
 
-    Direct O(N) mode sum per separation r (no FFT; N stays small here),
-    memoised per (n_sites, alpha).  Accepts n_sites = 2 so that exact
-    two-oscillator cross-checks can reuse the same sums that
-    ChainParams-based code does.
+    One real FFT of the two spectra 1/(2 omega_k) and omega_k / 2 gives
+    g_r and h_r for r = 0..N/2 in O(N log N) time and O(N) memory; the rest
+    mirror them, so g[r] == g[N - r] exactly.  Memoised per
+    (n_sites, alpha).  Accepts n_sites = 2 so that exact two-oscillator
+    cross-checks can reuse the same sums that ChainParams-based code does.
     """
     if n_sites < 2 or n_sites % 2 != 0:
         raise ValueError(f"ring size must be even and >= 2, got {n_sites}")
     w = mode_frequencies(n_sites, alpha)
-    theta = 2.0 * np.pi * np.arange(n_sites) / n_sites
-    cos_table = np.cos(np.outer(np.arange(n_sites), theta))
-    g = cos_table @ (1.0 / (2.0 * w)) / n_sites
-    h = cos_table @ (w / 2.0) / n_sites
+    half = np.fft.rfft(np.stack([1.0 / (2.0 * w), w / 2.0]), axis=-1).real / n_sites
+    g, h = np.concatenate([half, half[:, -2:0:-1]], axis=-1)
     g.setflags(write=False)
     h.setflags(write=False)
     return g, h

@@ -14,7 +14,8 @@ from .chain_model import ChainParams, correlation_vectors, ground_covariance
 from .gaussian_state import CovarianceMatrix, log_negativity, reduce, symplectic_eigenvalues
 from .oracle import FockState, fock_log_negativity, general_dyne_update, monte_carlo_energy
 from .oracle import two_mode_ground_covariance
-from .povm_measurement import MeasurementSpec, post_measurement_covariance, unmeasured_sites
+from .povm_measurement import MeasurementSpec, build_m_matrix, post_measurement_covariance, quarter_inverse
+from .povm_measurement import unmeasured_sites
 from .qet_protocol import DisplacementPlan, build_quadratics, optimal_plan, optimized_energy
 
 
@@ -51,16 +52,19 @@ def unmeasured_purity_deviation(params: ChainParams, spec: MeasurementSpec) -> f
 
 
 def general_dyne_deviation(sizes, alphas, omegas, groups) -> float:
-    """Largest entry difference between general-dyne conditioning and the Schur construction."""
+    """Largest entry difference between general-dyne conditioning and the Schur construction.
+
+    The Schur side is the unmeasured block (M^{-1}/4, M) straight from M.
+    """
     dev = 0.0
     for n, alpha in product(sizes, alphas):
         ground = ground_covariance(ChainParams(n_sites=n, alpha=alpha))  # independent of omega
         for omega, measured in product(omegas, groups):
             params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
             spec = MeasurementSpec(measured_sites=measured, omega=omega)
-            ref = reduce(post_measurement_covariance(params, spec).covariance, unmeasured_sites(params, spec))
+            m = build_m_matrix(params, spec)
             got = general_dyne_update(ground, measured, omega).conditional_covariance
-            dev = max(dev, float(np.abs(got.q - ref.q).max()), float(np.abs(got.p - ref.p).max()))
+            dev = max(dev, float(np.abs(got.q - quarter_inverse(m)).max()), float(np.abs(got.p - m).max()))
     return dev
 
 

@@ -88,6 +88,12 @@ def build_m_matrix(params: ChainParams, spec: MeasurementSpec) -> np.ndarray:
     return (m + m.T) / 2
 
 
+def quarter_inverse(m: np.ndarray) -> np.ndarray:
+    """(1/4) M^{-1}, symmetrized: the unmeasured sites' position block."""
+    m_inv = cho_solve(cho_factor(m), np.eye(m.shape[0]))
+    return (m_inv + m_inv.T) / 2 / 4.0
+
+
 def post_measurement_covariance(params: ChainParams, spec: MeasurementSpec) -> PostMeasurementState:
     """Assemble the full post-measurement position and momentum blocks.
 
@@ -96,8 +102,6 @@ def post_measurement_covariance(params: ChainParams, spec: MeasurementSpec) -> P
     block between the two groups vanishes identically.
     """
     m = build_m_matrix(params, spec)
-    m_inv = cho_solve(cho_factor(m), np.eye(m.shape[0]))
-    m_inv = (m_inv + m_inv.T) / 2
     n = params.n_sites
     q, p = np.zeros((n, n)), np.zeros((n, n))
     meas = list(spec.measured_sites)
@@ -105,7 +109,7 @@ def post_measurement_covariance(params: ChainParams, spec: MeasurementSpec) -> P
     p[meas, meas] = spec.omega / 2.0
     rest = unmeasured_sites(params, spec)
     block = np.ix_(rest, rest)
-    q[block] = m_inv / 4.0
+    q[block] = quarter_inverse(m)
     p[block] = m
     return PostMeasurementState(covariance=CovarianceMatrix(q, p), m_matrix=m)
 

@@ -22,10 +22,13 @@ strictly negative whenever either coupling vector is nonzero.
 Two standard site layouts are provided, and each row is a closed form in a
 few correlators; no N x N state is built.
 
-* run_setting1 measures site 0 and targets site d + 1.  The ground pair is
-  mirror-symmetric, so its sum and difference modes decouple, with
-  symplectic eigenvalues nu_pm^2 = (g_0 +- g_r)(h_0 +- h_r), and
-  (g_0 +- g_r)(h_0 -+ h_r) after the partial transpose.  After the
+* run_setting1 measures site 0 and targets site r = d + 1, so every form
+  above is 1 x 1 and each row is a scalar formula in g_0, h_0, g_r, h_r:
+  theta = -h_r / (h_0 + omega/2), phi = -h_r / (g_0 + 1/(2 omega)) and
+  E_opt = -(1/2) h_r^2 (1/(h_0 + omega/2) + 1/(g_0 + 1/(2 omega))).  The
+  ground pair is mirror-symmetric, so its sum and difference modes
+  decouple, with symplectic eigenvalues nu_pm^2 = (g_0 +- g_r)(h_0 +- h_r),
+  and (g_0 +- g_r)(h_0 -+ h_r) after the partial transpose.  After the
   measurement site 0 is a coherent state in product with the rest, so the
   pair's negativity and mutual information are exactly zero.
 * run_setting2 measures the block {0..2 ell} and splits the pure chain
@@ -38,12 +41,14 @@ few correlators; no N x N state is built.
   symmetric Toeplitz and Levinson recursion solves them in O(ell^2).
 
 The full-state route (ground_covariance, post_measurement_covariance,
-log_negativity, mutual_information) stays in the package as the oracle
-these closed forms are tested against.
+log_negativity, mutual_information) and the dense quadratic forms
+(build_quadratics, optimal_plan, optimized_energy) stay in the package as
+the oracles these closed forms are tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,18 +163,18 @@ def run_setting1(params: ChainParams, d: int) -> QetReport:
     if target >= params.n_sites:
         raise ValueError(f"separation d={d} wraps past the ring size N={params.n_sites}")
     g, h = correlation_vectors(params.n_sites, params.alpha)
-    sign = np.array([1.0, -1.0])
-    nu_pair = np.sqrt((g[0] + sign * g[target]) * (h[0] + sign * h[target]))
-    nu_transposed = np.sqrt((g[0] + sign * g[target]) * (h[0] - sign * h[target]))
-    e_n_before = float(-np.sum(np.minimum(0.0, np.log2(2.0 * nu_transposed)))) + 0.0  # avoid -0.0
-    s_m_before = float(2.0 * _entropy_terms(np.sqrt(g[0] * h[0])) - np.sum(_entropy_terms(nu_pair)))
-    quad = build_quadratics(params, MeasurementSpec(measured_sites=(0,), omega=params.omega), target)
+    g_0, h_0, g_r, h_r = (float(v) for v in (g[0], h[0], g[target], h[target]))
+    nu_transposed = (math.sqrt((g_0 + g_r) * (h_0 - h_r)), math.sqrt((g_0 - g_r) * (h_0 + h_r)))
+    e_n_before = sum(max(0.0, -math.log2(2.0 * nu)) for nu in nu_transposed)
+    s_0, s_plus, s_minus = _entropy_terms(np.array([
+        math.sqrt(g_0 * h_0), math.sqrt((g_0 + g_r) * (h_0 + h_r)), math.sqrt((g_0 - g_r) * (h_0 - h_r))]))
+    t_p, t_q = h_0 + params.omega / 2.0, g_0 + 1.0 / (2.0 * params.omega)
     return QetReport(
-        optimized_energy=optimized_energy(quad),
-        plan=optimal_plan(quad),
+        optimized_energy=-0.5 * (h_r * h_r / t_p + h_r * h_r / t_q),
+        plan=DisplacementPlan(theta=-h_r / t_p, phi=-h_r / t_q),
         e_n_before=e_n_before,
         e_n_after=0.0,
-        s_m_before=s_m_before,
+        s_m_before=float(2.0 * s_0 - (s_plus + s_minus)),
         s_m_after=0.0,
         delta_log_negativity=e_n_before,
     )

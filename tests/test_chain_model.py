@@ -1,4 +1,7 @@
+import csv
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,18 @@ from qetchain import (
     ground_covariance,
     symplectic_eigenvalues,
 )
+from qetchain.chain_model import mode_frequencies
 
-A4 = 1.0 - 1e-7
+A1, A4 = 0.9, 1.0 - 1e-7
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def cosine_table_correlators(n, alpha):
+    """The direct mode sum over an N x N cosine table: O(N^2) time and memory."""
+    w = mode_frequencies(n, alpha)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    cos_table = np.cos(np.outer(np.arange(n), theta))
+    return cos_table @ (1.0 / (2.0 * w)) / n, cos_table @ (w / 2.0) / n
 
 
 def brute_force_correlators(n, alpha):
@@ -95,11 +108,38 @@ class TestBuildCorrelations:
             corr = build_correlations(ChainParams(n_sites=n, alpha=alpha))
             assert abs(corr.h[0] - (corr.g[0] - alpha * corr.g[1])) < 1e-12
 
-    def test_reflection_symmetry(self):
-        corr = build_correlations(ChainParams(n_sites=10, alpha=0.95))
-        for r in range(1, 10):
-            assert corr.g[r] == pytest.approx(corr.g[10 - r], abs=1e-12)
-            assert corr.h[r] == pytest.approx(corr.h[10 - r], abs=1e-12)
+    @pytest.mark.parametrize("n", [4, 10, 100, 400])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, A1, A4])
+    def test_matches_cosine_table(self, n, alpha):
+        # The table's round-off grows like N eps; the FFT's is smaller.
+        g, h = correlation_vectors(n, alpha)
+        g_ref, h_ref = cosine_table_correlators(n, alpha)
+        tol = 2e-16 * n * g_ref[0]
+        assert np.abs(g - g_ref).max() <= tol
+        assert np.abs(h - h_ref).max() <= tol
+
+    @pytest.mark.parametrize("n", [100, 400])
+    @pytest.mark.parametrize("alpha", [0.3, A1, A4])
+    def test_no_less_accurate_than_cosine_table(self, n, alpha):
+        # 50-digit sums from scripts/high_precision_correlators.py, r = 0..N/2;
+        # errors are taken exactly, so the table's last digits are not lost.
+        with open(DATA / f"correlators_n{n}.csv") as f:
+            rows = [row for row in csv.DictReader(f) if float(row["alpha"]) == alpha]
+        assert [int(row["r"]) for row in rows] == list(range(n // 2 + 1))
+
+        def worst_error(vectors):
+            return max(abs(Fraction(float(vec[int(row["r"])])) - Fraction(row[name]))
+                       for row in rows for name, vec in zip("gh", vectors))
+
+        assert worst_error(correlation_vectors(n, alpha)) <= worst_error(cosine_table_correlators(n, alpha))
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 100, 400])
+    @pytest.mark.parametrize("alpha", [0.3, 0.95, A4])
+    def test_reflection_symmetry_is_exact(self, n, alpha):
+        g, h = correlation_vectors(n, alpha)
+        assert g.shape == h.shape == (n,)
+        np.testing.assert_array_equal(g[1:], g[1:][::-1])
+        np.testing.assert_array_equal(h[1:], h[1:][::-1])
 
     def test_memoised_vectors_are_read_only(self):
         g, h = correlation_vectors(12, 0.9)

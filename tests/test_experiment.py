@@ -179,16 +179,27 @@ class TestSetting1Sweep:
 HIGH_PRECISION_TABLE = Path(__file__).resolve().parent / "data" / "setting2_delta_e_n_a1.csv"
 
 
-def test_setting2_entanglement_drop_matches_high_precision_table():
+def _high_precision_drops():
     lines = HIGH_PRECISION_TABLE.read_text().split()
     assert lines[0] == "N,alpha,omega,ell,delta_E_N"
     for line in lines[1:]:
         n, alpha, omega, ell, want = line.split(",")
         config = RunConfig(mode="setting2", n_sites=int(n), alpha=float(alpha), omega=float(omega),
                            ell_min=int(ell), ell_max=int(ell), threads=1)
-        got = sweep_setting2(config).column("delta_E_N")[0]
-        # The correlators' cosine table leaves 4.8e-5 at ell = 1.
-        assert got == pytest.approx(float(want), rel=1e-4, abs=0.0), line
+        yield line, sweep_setting2(config).column("delta_E_N")[0], float(want)
+
+
+def test_setting2_entanglement_drop_matches_high_precision_table():
+    for line, got, want in _high_precision_drops():
+        # Cosine-table correlators left 4.8e-5 at ell = 1.
+        assert got == pytest.approx(want, rel=1e-4, abs=0.0), line
+
+
+def test_setting2_entanglement_drop_with_fft_correlators():
+    for line, got, want in _high_precision_drops():
+        # FFT correlators leave 4.6e-8 at ell = 1 and 1.0e-6 at ell = 2, all
+        # from their absolute error on tiny long-range correlators.
+        assert got == pytest.approx(want, rel=2e-6, abs=0.0), line
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +30,9 @@ from qetchain import (
     unmeasured_sites,
 )
 from qetchain import oracle
+from qetchain.invariants import general_dyne_deviation
 from qetchain.oracle import FockState, fock_energy
+from qetchain.povm_measurement import build_m_matrix, quarter_inverse
 
 
 # Every (alpha, cutoff) at which the tests, validate and the acceptance criteria solve the pair.
@@ -100,6 +104,23 @@ class TestGeneralDyneUpdate:
         built = post_measurement_covariance(params, spec)
         ref = reduce(built.covariance, unmeasured_sites(params, spec)).matrix
         np.testing.assert_allclose(upd.conditional_covariance.matrix, ref, atol=1e-10)
+
+    def test_deviation_reference_is_the_assembled_state(self):
+        # general_dyne_deviation reads (M^{-1}/4, M) from M directly; on
+        # criterion 3's grid that is bit for bit the unmeasured block of the
+        # assembled N x N post-measurement state.
+        grid = ((4, 6, 8, 12), (0.0, 0.5, 0.9, 0.99), (0.5, 1.0, 2.0), ((0,), (0, 1), (0, 2)))
+        dev = 0.0
+        for n, alpha, omega, measured in itertools.product(*grid):
+            params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
+            spec = MeasurementSpec(measured_sites=measured, omega=omega)
+            assembled = reduce(post_measurement_covariance(params, spec).covariance, unmeasured_sites(params, spec))
+            m = build_m_matrix(params, spec)
+            np.testing.assert_array_equal(quarter_inverse(m), assembled.q)
+            np.testing.assert_array_equal(m, assembled.p)
+            got = general_dyne_update(ground_covariance(params), measured, omega).conditional_covariance
+            dev = max(dev, float(np.abs(got.q - assembled.q).max()), float(np.abs(got.p - assembled.p).max()))
+        assert general_dyne_deviation(*grid) == dev
 
     def test_rejects_degenerate_subsets(self):
         v = CovarianceMatrix(0.5 * np.eye(4))

@@ -21,7 +21,7 @@ from qetchain import (
     run_setting2,
 )
 
-A1, A3, A4 = (ALPHA_PRESETS[k] for k in ("a1", "a3", "a4"))
+A1, A2, A3, A4 = (ALPHA_PRESETS[k] for k in ("a1", "a2", "a3", "a4"))
 T_P_FROZEN = 0.9618290801532325  # h0 + 1/2 at N=4, alpha=0.9, omega=1
 
 
@@ -158,6 +158,22 @@ class TestRunSetting1:
         drops = [run_setting1(ChainParams(n_sites=20, alpha=a), 0).delta_log_negativity
                  for a in (0.90, 0.95, 0.99)]
         assert drops[0] < drops[1] < drops[2]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, A1, A2, A3, A4])
+    @pytest.mark.parametrize("n", [10, 40, 100, 400])
+    def test_energy_and_plan_match_the_quadratic_forms(self, n, alpha):
+        # The scalar closed form against the 1 x 1 Cholesky route; up to
+        # 5.3e-16 relative over this grid.
+        for omega in (0.5, 1.0, 2.0):
+            params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
+            spec = MeasurementSpec(measured_sites=(0,), omega=omega)
+            for d in range(n - 1):
+                rep = run_setting1(params, d)
+                quad = build_quadratics(params, spec, d + 1)
+                plan = optimal_plan(quad)
+                got = (rep.optimized_energy, *rep.plan.theta, *rep.plan.phi)
+                ref = (optimized_energy(quad), *plan.theta, *plan.phi)
+                assert all(abs(a - b) <= 1e-15 * abs(b) for a, b in zip(got, ref)), (omega, d, got, ref)
 
     def test_report_deltas(self):
         rep = run_setting1(ChainParams(n_sites=20, alpha=0.9), 1)
