@@ -1,8 +1,15 @@
 """Energy teleportation on a periodic harmonic chain.
 
 Gaussian ground-state construction, coherent-state measurement updates,
-optimal displacement-energy extraction, and entanglement accounting, with
-independent general-dyne, Monte Carlo, and truncated-number-basis oracles.
+optimal displacement-energy extraction, and entanglement accounting.  The
+independent general-dyne, Monte Carlo, and truncated-number-basis oracles
+live in ``qetchain.oracle`` and the shared checks in ``qetchain.invariants``;
+neither is re-exported here.
+
+Importing the package and running setting 1 need only numpy: each function
+that calls ``scipy.linalg`` imports it in its own body, so only setting 2,
+the size sweep, the dense quadratic and Schur-complement solves, the
+oracles and the CLI pay for loading it.
 """
 
 from .chain_model import (
@@ -44,16 +51,6 @@ from .qet_protocol import (
     plan_energy,
     run_setting1,
     run_setting2,
-)
-from .oracle import (
-    FockState,
-    GeneralDyneUpdate,
-    fock_ground_state,
-    fock_log_negativity,
-    fock_position_correlator,
-    general_dyne_update,
-    monte_carlo_energy,
-    two_mode_ground_covariance,
 )
 from .experiment import (
     ALPHA_PRESETS,

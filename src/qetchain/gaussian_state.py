@@ -137,7 +137,7 @@ def log_negativity(V: CovarianceMatrix, b_sites) -> float:
 def _entropy_terms(nu: np.ndarray) -> np.ndarray:
     # (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2), with the removable
     # singularity at x = 1/2 evaluated as 0.
-    x = np.clip(nu, 0.5, None)
+    x = np.maximum(nu, 0.5)
     upper = (x + 0.5) * np.log(x + 0.5)
     t = x - 0.5
     lower = np.where(t < 1e-12, 0.0, t * np.log(np.where(t < 1e-12, 1.0, t)))

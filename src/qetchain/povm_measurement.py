@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .chain_model import ChainParams, correlation_submatrices
 from .gaussian_state import CovarianceMatrix
@@ -78,6 +77,8 @@ def build_m_matrix(params: ChainParams, spec: MeasurementSpec) -> np.ndarray:
     Symmetric positive definite of size N - |A|; the SPD solve against
     L + (omega/2) I raises LinAlgError if the inputs are not physical.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     meas = list(spec.measured_sites)
     rest = list(unmeasured_sites(params, spec))
     _, l_block = correlation_submatrices(params, meas, meas)
@@ -90,6 +91,8 @@ def build_m_matrix(params: ChainParams, spec: MeasurementSpec) -> np.ndarray:
 
 def quarter_inverse(m: np.ndarray) -> np.ndarray:
     """(1/4) M^{-1}, symmetrized: the unmeasured sites' position block."""
+    from scipy.linalg import cho_factor, cho_solve
+
     m_inv = cho_solve(cho_factor(m), np.eye(m.shape[0]))
     return (m_inv + m_inv.T) / 2 / 4.0
 

@@ -52,7 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_toeplitz
 
 from .chain_model import ChainParams, build_correlations, correlation_vectors
 from .gaussian_state import PHYSICALITY_TOL, NumericsError, _entropy_terms
@@ -127,6 +126,8 @@ def build_quadratics(params: ChainParams, spec: MeasurementSpec, target_site: in
 
 def optimal_plan(quadratics: QetQuadratics) -> DisplacementPlan:
     """The unique minimizer of the displacement energy form."""
+    from scipy.linalg import cho_factor, cho_solve
+
     theta = -cho_solve(cho_factor(quadratics.t_p), quadratics.j_p)
     phi = -cho_solve(cho_factor(quadratics.t_q), quadratics.j_q)
     return DisplacementPlan(theta=theta, phi=phi)
@@ -134,6 +135,8 @@ def optimal_plan(quadratics: QetQuadratics) -> DisplacementPlan:
 
 def optimized_energy(quadratics: QetQuadratics) -> float:
     """Minimum of the displacement energy: -(1/2) J^T T^{-1} J summed over both channels."""
+    from scipy.linalg import cho_factor, cho_solve
+
     p_part = quadratics.j_p @ cho_solve(cho_factor(quadratics.t_p), quadratics.j_p)
     q_part = quadratics.j_q @ cho_solve(cho_factor(quadratics.t_q), quadratics.j_q)
     return float(-0.5 * (p_part + q_part))
@@ -187,6 +190,8 @@ def run_setting2(params: ChainParams, ell: int) -> QetReport:
     N - 1 sites (measured block included) on the other.  ell runs from 1 to
     N/2 - 2, which keeps the target and both its neighbors unmeasured.
     """
+    from scipy.linalg import solve_toeplitz
+
     half = params.n_sites // 2
     if not 1 <= ell <= half - 2:
         raise ValueError(f"ell must lie in [1, N/2 - 2] = [1, {half - 2}], got {ell}")

@@ -22,7 +22,6 @@ from qetchain import (
     RunConfig,
     build_quadratics,
     fit_power_law,
-    fock_ground_state,
     ground_covariance,
     log_negativity,
     optimized_energy,
@@ -41,6 +40,7 @@ from qetchain.invariants import (
     unmeasured_purity_deviation,
     virial_deviation,
 )
+from qetchain.oracle import fock_ground_state
 
 A1, A2, A3, A4 = (ALPHA_PRESETS[k] for k in ("a1", "a2", "a3", "a4"))
 

@@ -14,24 +14,27 @@ from qetchain import (
     NumericsError,
     build_quadratics,
     correlation_vectors,
-    fock_ground_state,
-    fock_log_negativity,
-    fock_position_correlator,
-    general_dyne_update,
     ground_covariance,
     log_negativity,
-    monte_carlo_energy,
     optimal_plan,
     optimized_energy,
     post_measurement_covariance,
     reduce,
     sample_outcomes,
-    two_mode_ground_covariance,
     unmeasured_sites,
 )
 from qetchain import oracle
 from qetchain.invariants import general_dyne_deviation
-from qetchain.oracle import FockState, fock_energy
+from qetchain.oracle import (
+    FockState,
+    fock_energy,
+    fock_ground_state,
+    fock_log_negativity,
+    fock_position_correlator,
+    general_dyne_update,
+    monte_carlo_energy,
+    two_mode_ground_covariance,
+)
 from qetchain.povm_measurement import build_m_matrix, quarter_inverse
 
 

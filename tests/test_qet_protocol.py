@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+import qetchain
 from qetchain import (
     ALPHA_PRESETS,
     ChainParams,
@@ -271,3 +278,37 @@ class TestClosedFormsMatchFullStateRoute:
                              (toeplitz(g[:size]) + np.eye(size) / (2 * omega), rep.plan.phi)):
                     scale = np.abs(t).max() * np.abs(x).max() + np.abs(j).max()
                     assert np.abs(t @ x + j).max() <= 1e-13 * scale, (omega, ell)
+
+
+# Calls that need scipy.linalg: a setting-2 row, a dense optimal plan and a
+# Schur complement.  Run both in a fresh interpreter and in this one.
+SCIPY_CALLS = """
+params = qetchain.ChainParams(n_sites=40, alpha=0.9, omega=0.7)
+spec = qetchain.MeasurementSpec(measured_sites=(0, 1, 2), omega=0.7)
+row = qetchain.run_setting2(params, 3)
+plan = qetchain.optimal_plan(qetchain.build_quadratics(params, spec, 20))
+values = [row.optimized_energy, row.e_n_before, row.e_n_after, row.s_m_before, row.s_m_after,
+          row.delta_log_negativity, *row.plan.theta.tolist(), *row.plan.phi.tolist(),
+          *plan.theta.tolist(), *plan.phi.tolist(), *qetchain.build_m_matrix(params, spec).ravel().tolist()]
+"""
+
+
+def test_setting1_needs_no_scipy_linalg():
+    script = (
+        "import json, sys, qetchain\n"
+        "params = qetchain.ChainParams(n_sites=40, alpha=0.9)\n"
+        "qetchain.run_setting1(params, 3)\n"
+        "qetchain.sweep_setting1(qetchain.RunConfig(mode='setting1', n_sites=40, d_max=5, threads=1))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        + SCIPY_CALLS
+        + "print(json.dumps(values))\n"
+    )
+    src = str(Path(qetchain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded, fresh = done.stdout.splitlines()
+    assert loaded == "False"
+    here = {"qetchain": qetchain}
+    exec(SCIPY_CALLS, here)
+    assert json.loads(fresh) == here["values"]
