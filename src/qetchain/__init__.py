@@ -6,10 +6,10 @@ independent general-dyne, Monte Carlo, and truncated-number-basis oracles
 live in ``qetchain.oracle`` and the shared checks in ``qetchain.invariants``;
 neither is re-exported here.
 
-Importing the package and running setting 1 need only numpy: each function
-that calls ``scipy.linalg`` imports it in its own body, so only setting 2,
-the size sweep, the dense quadratic and Schur-complement solves, the
-oracles and the CLI pay for loading it.
+Importing the package and running the setting-1 and setting-2 sweeps need
+only numpy: each function that calls ``scipy.linalg`` imports it in its own
+body, so only ``run_setting2``, the size sweep, the dense quadratic and
+Schur-complement solves, the oracles and the CLI pay for loading it.
 """
 
 from .chain_model import (

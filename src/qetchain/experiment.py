@@ -4,11 +4,12 @@ Three sweep modes mirror the standard numerical settings: a separation
 sweep with single-site groups (setting1), a measured-block-size sweep
 against the antipodal target (setting2), and a system-size sweep at the
 maximal block ell = N/2 - 2 (size-sweep).  Rows are pure functions of the
-configuration, evaluated optionally in a thread pool but always merged in
-grid order, and floats are serialized with 12 significant digits so that
-repeated runs produce byte-identical files.  Each row is a closed form in
-the memoised correlator vectors (see qet_protocol), so rows share nothing
-but those read-only arrays.
+configuration, and floats are serialized with 12 significant digits so that
+repeated runs produce byte-identical files.  Setting-1 and size-sweep rows
+are closed forms in the memoised correlator vectors (see qet_protocol), so
+they share nothing but those read-only arrays and run optionally in a
+thread pool, always merged in grid order.  Setting-2 rows all come from one
+sequential bordered recursion over ell.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chain_model import ChainParams
+from .chain_model import ChainParams, correlation_vectors
 from .gaussian_state import NumericsError
-from .qet_protocol import run_setting1, run_setting2
+from .qet_protocol import run_setting1, run_setting2, setting2_forms, setting2_terms, target_x2m1
 
 ALPHA_PRESETS = {
     "a1": 0.90,
@@ -103,21 +104,22 @@ class PowerLawFit:
     window: tuple[float, float]
 
 
+def _labelled(grid: str, item, fn: Callable, *args):
+    """fn(*args); a numerical failure is re-raised naming its grid point."""
+    try:
+        return fn(*args)
+    except (NumericsError, np.linalg.LinAlgError) as exc:
+        raise type(exc)(f"{grid}={item}: {exc}") from exc
+
+
 def _map_ordered(fn: Callable, items: Iterable, threads: int, grid: str) -> list:
     """fn over items in grid order; a numerical failure is re-raised naming its grid point."""
-
-    def labelled(item):
-        try:
-            return fn(item)
-        except (NumericsError, np.linalg.LinAlgError) as exc:
-            raise type(exc)(f"{grid}={item}: {exc}") from exc
-
     items = list(items)
     if threads == 1 or len(items) <= 1:
-        return [labelled(item) for item in items]
+        return [_labelled(grid, item, fn, item) for item in items]
     workers = threads if threads > 0 else min(len(items), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(labelled, items))
+        return list(pool.map(lambda item: _labelled(grid, item, fn, item), items))
 
 
 def sweep_setting1(config: RunConfig) -> SweepTable:
@@ -147,19 +149,37 @@ def sweep_setting1(config: RunConfig) -> SweepTable:
     )
 
 
-def _block_row(x, params: ChainParams, ell: int) -> tuple:
-    """(x, delta_E_N, |E_B|, |E_B| / delta_E_N) of the setting-2 block of half-width ell.
+def _ratio_row(x, energy: float, delta: float) -> tuple:
+    """(x, delta_E_N, |E_B|, |E_B| / delta_E_N) of a setting-2 block.
 
     The ratio is NaN where delta_E_N is exactly 0, as on a decoupled chain.
     """
-    rep = run_setting2(params, ell)
-    delta = rep.delta_log_negativity
-    e_abs = abs(rep.optimized_energy)
+    e_abs = abs(energy)
     return (x, delta, e_abs, e_abs / delta if delta else float("nan"))
 
 
+def _block_row(x, params: ChainParams, ell: int) -> tuple:
+    """The setting-2 row of half-width ell from one run_setting2 call."""
+    rep = run_setting2(params, ell)
+    return _ratio_row(x, rep.optimized_energy, rep.delta_log_negativity)
+
+
+def _recursion_row(ell: int, forms: Iterator, before: tuple[float, float, float]) -> tuple:
+    """The setting-2 row of half-width ell from the next step of the bordered recursion.
+
+    before holds (g_0, h_0, x^2 - 1), which do not depend on ell.
+    """
+    energy, _, delta = setting2_terms(*before, *next(forms))
+    return _ratio_row(ell, energy, delta)
+
+
 def sweep_setting2(config: RunConfig) -> SweepTable:
-    """One row per measured-block half-width ell."""
+    """One row per measured-block half-width ell, all from one bordered recursion.
+
+    The recursion runs from ell = 1 whatever ell_min is, so a sub-range is
+    the matching slice of the full sweep.  It is sequential: threads has
+    no effect here.
+    """
     params = config.params()
     top = params.n_sites // 2 - 2
     lo = 1 if config.ell_min is None else config.ell_min
@@ -167,8 +187,11 @@ def sweep_setting2(config: RunConfig) -> SweepTable:
     if not 1 <= lo <= hi <= top:
         raise ValueError(f"ell range [{lo}, {hi}] must lie within [1, {top}]")
 
-    rows = _map_ordered(lambda ell: _block_row(ell, params, ell), range(lo, hi + 1), config.threads, "ell")
-    return SweepTable(columns=("ell", "delta_E_N", "E_B_abs", "ratio"), rows=tuple(rows))
+    g, h = correlation_vectors(params.n_sites, params.alpha)
+    before = (float(g[0]), float(h[0]), target_x2m1(g, h))
+    forms = setting2_forms(params, hi)
+    rows = [_labelled("ell", ell, _recursion_row, ell, forms, before) for ell in range(1, hi + 1)]
+    return SweepTable(columns=("ell", "delta_E_N", "E_B_abs", "ratio"), rows=tuple(rows[lo - 1:]))
 
 
 def sweep_size(config: RunConfig) -> SweepTable:

@@ -38,7 +38,21 @@ few correlators; no N x N state is built.
   S_M = 2 S(nu).  Before the measurement nu_0^2 = g_0 h_0; after it
   nu_1^2 = (g_0 - dq)(h_0 - dp) with dp = J^T T_p^{-1} J and
   dq = g_bA^T T_q^{-1} g_Ab.  The block is contiguous, so T_p and T_q are
-  symmetric Toeplitz and Levinson recursion solves them in O(ell^2).
+  symmetric Toeplitz, and one row is two Levinson solves in O(ell^2).
+* setting2_forms gives the same three quadratic forms for every ell = 1..hi
+  from one bordered recursion.  Shifted to {-ell..ell}, the block puts the
+  target at N/2, so each system is centrosymmetric with a palindromic
+  right-hand side (g[r] == g[N - r]), and ell -> ell + 1 adds one row and
+  one column at each end.  With m = 2 ell + 1, border u = (t_1..t_m), J the
+  reversal and y = T_m^{-1} u from Durbin's recursion (two steps per ell;
+  Golub and Van Loan, Matrix Computations, ch. 4), the solution of the
+  bordered system with new end entries c is [z, x - z s, z], where
+  s = y + J y and z = (c - u^T x) / (t_0 + t_{m+1} - u^T s).  That
+  denominator equals beta_m (1 + a_m), Durbin's error and reflection
+  coefficient, so each step costs O(ell), a whole sweep O(N^2) time and O(N)
+  memory.  Durbin's recursion is only weakly stable (Cybenko, SIAM J. Sci.
+  Stat. Comput. 1, 303 (1980)); the tests hold it to run_setting2 near the
+  critical point.
 
 The full-state route (ground_covariance, post_measurement_covariance,
 log_negativity, mutual_information) and the dense quadratic forms
@@ -50,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -183,6 +198,36 @@ def run_setting1(params: ChainParams, d: int) -> QetReport:
     )
 
 
+def target_x2m1(g: np.ndarray, h: np.ndarray) -> float:
+    """x^2 - 1 = 4 nu_0^2 - 1 of a site in the ground state, formed without cancellation.
+
+    4 g_0 h_0 - 1 = -4 sum_{r != 0} g_r h_r because G H = I/4, a sum whose
+    terms share one sign.
+    """
+    return max(-4.0 * float(g[1:] @ h[1:]), 0.0)
+
+
+def setting2_terms(g_0: float, h_0: float, x2m1: float, dp: float, dq: float,
+                   jq: float) -> tuple[float, float, float]:
+    """(E_opt, y^2 - 1, delta E_N) of a setting-2 row from its quadratic forms.
+
+    dp = J^T T_p^{-1} J, dq = g_bA^T T_q^{-1} g_Ab and jq = J^T T_q^{-1} J;
+    x = 2 nu_0 and y = 2 nu_1.  x^2 - y^2 = 4 (g_0 dp + h_0 dq - dq dp) is
+    formed from its parts, and so is delta E_N = arcsinh of the shrink over
+    y sqrt(x^2 - 1) + x sqrt(y^2 - 1), never a difference of two arccosh.
+    Raises NumericsError when nu_1 falls below 1/2 - PHYSICALITY_TOL.
+    """
+    shrink = 4.0 * (g_0 * dp + h_0 * dq - dq * dp)
+    y2m1 = x2m1 - shrink
+    if not y2m1 >= -4.0 * PHYSICALITY_TOL:
+        raise NumericsError(f"target symplectic eigenvalue^2 {(1.0 + y2m1) / 4:.6g} < 1/4 after the measurement")
+    y2m1 = max(y2m1, 0.0)
+    x, y = np.sqrt(1.0 + x2m1), np.sqrt(1.0 + y2m1)
+    denominator = y * np.sqrt(x2m1) + x * np.sqrt(y2m1)
+    delta = np.arcsinh(shrink / denominator) / np.log(2.0) if denominator > 0.0 else 0.0
+    return float(-0.5 * (dp + jq)), float(y2m1), float(delta)
+
+
 def run_setting2(params: ChainParams, ell: int) -> QetReport:
     """Measured block {0..2 ell}, target at the antipodal site N/2 + ell.
 
@@ -205,26 +250,104 @@ def run_setting2(params: ChainParams, ell: int) -> QetReport:
     t_q[0] += 1.0 / (2.0 * params.omega)
     t_p_inv_j = solve_toeplitz(t_p, j)
     t_q_inv_j, t_q_inv_g_b = solve_toeplitz(t_q, np.column_stack([j, g_b])).T
-    dp, dq = j @ t_p_inv_j, g_b @ t_q_inv_g_b
-    # With x = 2 nu_0 and y = 2 nu_1, each small difference is formed from
-    # its parts, never by subtracting nearly equal numbers:
-    # x^2 - 1 = 4 g_0 h_0 - 1 = -4 sum_{r != 0} g_r h_r because G H = I/4,
-    # a sum whose terms share one sign; x^2 - y^2 = 4 (g_0 dp + h_0 dq - dq dp).
-    x2m1 = max(-4.0 * float(g[1:] @ h[1:]), 0.0)
-    shrink = 4.0 * (g[0] * dp + h[0] * dq - dq * dp)
-    y2m1 = x2m1 - shrink
-    if not y2m1 >= -4.0 * PHYSICALITY_TOL:  # nu_1 below 1/2 - PHYSICALITY_TOL
-        raise NumericsError(f"target symplectic eigenvalue^2 {(1.0 + y2m1) / 4:.6g} < 1/4 after the measurement")
-    y2m1 = max(y2m1, 0.0)
+    x2m1 = target_x2m1(g, h)
+    energy, y2m1, delta = setting2_terms(g[0], h[0], x2m1, j @ t_p_inv_j, g_b @ t_q_inv_g_b, j @ t_q_inv_j)
     x, y = np.sqrt(1.0 + x2m1), np.sqrt(1.0 + y2m1)
-    denominator = y * np.sqrt(x2m1) + x * np.sqrt(y2m1)
-    delta = np.arcsinh(shrink / denominator) / np.log(2.0) if denominator > 0.0 else 0.0
     return QetReport(
-        optimized_energy=float(-0.5 * (dp + j @ t_q_inv_j)),
+        optimized_energy=energy,
         plan=DisplacementPlan(theta=-t_p_inv_j, phi=-t_q_inv_j),
         e_n_before=float(np.arcsinh(np.sqrt(x2m1)) / np.log(2.0)),
         e_n_after=float(np.arcsinh(np.sqrt(y2m1)) / np.log(2.0)),
         s_m_before=float(2.0 * _entropy_terms(x / 2.0)),
         s_m_after=float(2.0 * _entropy_terms(y / 2.0)),
-        delta_log_negativity=float(delta),
+        delta_log_negativity=delta,
     )
+
+
+def setting2_forms(params: ChainParams, hi: int) -> Iterator[tuple[float, float, float]]:
+    """(dp, dq, jq) of run_setting2 for ell = 1..hi, in order, by one bordered recursion.
+
+    dp = J^T T_p^{-1} J, dq = g_bA^T T_q^{-1} g_Ab and jq = J^T T_q^{-1} J,
+    the arguments of setting2_terms.  Each step borders the previous
+    solutions in O(ell) (module docstring) and keeps O(hi) memory; no plan
+    vector leaves the recursion.  Raises LinAlgError at the first ell where
+    T_p or T_q is found not positive definite.
+    """
+    half = params.n_sites // 2
+    if not 0 <= hi <= half - 2:
+        raise ValueError(f"hi must lie in [0, N/2 - 2] = [0, {half - 2}], got {hi}")
+    g, h = correlation_vectors(params.n_sites, params.alpha)
+    # Right-hand sides h[N/2 - i] and g[N/2 - i] for i = -hi..hi.
+    j, g_b = h[half - hi:half + hi + 1], g[half - hi:half + hi + 1]
+    t_p = h[:2 * hi + 1].copy()
+    t_p[0] += params.omega / 2.0
+    t_q = g[:2 * hi + 1].copy()
+    t_q[0] += 1.0 / (2.0 * params.omega)
+    p_side, q_side = _BorderedToeplitz(t_p, (j,)), _BorderedToeplitz(t_q, (j, g_b))
+    for _ in range(hi):
+        (dp,), (jq, dq) = p_side.grow(), q_side.grow()
+        yield dp, dq, jq
+
+
+class _BorderedToeplitz:
+    """Solves T_m x = b of orders m = 1, 3, 5, ..., each bordered from the last.
+
+    T_m is the symmetric Toeplitz matrix with first column t[:m], and each
+    right-hand side b is a palindrome of odd length stored centred, so its
+    order-m part is the middle m entries; so is each solution x.  Durbin's
+    state is y = T_k^{-1} (t_1..t_k) and beta = t_0 - (t_1..t_k) . y, which
+    is det T_{k+1} / det T_k: T_{k+1} is positive definite (given T_k) iff
+    beta > 0.
+    """
+
+    def __init__(self, t: np.ndarray, rhs: tuple[np.ndarray, ...]):
+        if not t[0] > 0.0:
+            raise np.linalg.LinAlgError(f"Toeplitz form has diagonal {t[0]:.6g} <= 0")
+        size = rhs[0].size
+        self.t, self.rhs, self.m = t, rhs, 1
+        self.x = [np.zeros(size) for _ in rhs]
+        for b, x in zip(rhs, self.x):
+            x[size // 2] = b[size // 2] / t[0]
+        self.s = np.empty(size)
+        self.y, self.k, self.beta = np.zeros(size), 0, float(t[0])
+
+    def _reflection(self) -> float:
+        """Durbin's coefficient a_k = (t_{k+1} - (t_1..t_k) . J y) / beta."""
+        k = self.k
+        return float((self.t[k + 1] - self.t[k:0:-1] @ self.y[:k]) / self.beta)
+
+    def _extend(self, a: float) -> None:
+        """Durbin's step to order k + 1: y <- [y - a J y, a], beta <- beta (1 - a^2)."""
+        k, y = self.k, self.y
+        y[:k] -= a * y[:k][::-1]
+        y[k] = a
+        self.k, self.beta = k + 1, self.beta * (1.0 - a) * (1.0 + a)
+        if not self.beta > 0.0:
+            raise np.linalg.LinAlgError(f"Toeplitz form not positive definite at order {k + 2}")
+
+    def grow(self) -> list[float]:
+        """Border every solution from order m to m + 2; returns each b^T x at the new order.
+
+        Durbin's two steps per call take y from order m - 1 to m + 1, so
+        their checks cover T_{m+1} and T_{m+2}, the new order, and nothing
+        beyond it.
+        """
+        m, t, s = self.m, self.t, self.s
+        self._extend(self._reflection())
+        a = self._reflection()
+        denominator = self.beta * (1.0 + a)  # = t_0 + t_{m+1} - u^T s
+        if not denominator > 0.0:
+            raise np.linalg.LinAlgError(f"Toeplitz form not positive definite at order {m + 2}")
+        lo = (s.size - m) // 2
+        up = lo + m
+        np.add(self.y[:m], self.y[m - 1::-1], out=s[lo:up])
+        u = t[1:m + 1]
+        forms = []
+        for b, x in zip(self.rhs, self.x):
+            z = (b[lo - 1] - u @ x[lo:up]) / denominator
+            x[lo:up] -= z * s[lo:up]
+            x[lo - 1] = x[up] = z
+            forms.append(float(b[lo - 1:up + 1] @ x[lo - 1:up + 1]))
+        self._extend(a)
+        self.m = m + 2
+        return forms

@@ -75,14 +75,14 @@ class TestExitCodes:
     def test_failing_row_names_its_grid_point(self, monkeypatch, capsys):
         import qetchain.experiment as experiment
 
-        real = experiment.run_setting2
+        real = experiment._recursion_row
 
-        def flaky(params, ell):
+        def flaky(ell, *args):
             if ell == 37:
                 raise np.linalg.LinAlgError("synthetic failure")
-            return real(params, ell)
+            return real(ell, *args)
 
-        monkeypatch.setattr(experiment, "run_setting2", flaky)
+        monkeypatch.setattr(experiment, "_recursion_row", flaky)
         assert cli_main(["setting2", "--n", "100", "--alpha", "a1", "--ell-min", "36", "--ell-max", "38"]) == 2
         err = capsys.readouterr().err
         assert "numerical failure" in err and "ell=37" in err and "synthetic failure" in err

@@ -14,6 +14,7 @@ from qetchain import (
     ChainParams,
     DisplacementPlan,
     MeasurementSpec,
+    RunConfig,
     build_quadratics,
     correlation_vectors,
     ground_covariance,
@@ -26,7 +27,10 @@ from qetchain import (
     reduce,
     run_setting1,
     run_setting2,
+    sweep_setting2,
 )
+from qetchain.experiment import render_csv
+from qetchain.qet_protocol import setting2_forms
 
 A1, A2, A3, A4 = (ALPHA_PRESETS[k] for k in ("a1", "a2", "a3", "a4"))
 T_P_FROZEN = 0.9618290801532325  # h0 + 1/2 at N=4, alpha=0.9, omega=1
@@ -278,6 +282,88 @@ class TestClosedFormsMatchFullStateRoute:
                              (toeplitz(g[:size]) + np.eye(size) / (2 * omega), rep.plan.phi)):
                     scale = np.abs(t).max() * np.abs(x).max() + np.abs(j).max()
                     assert np.abs(t @ x + j).max() <= 1e-13 * scale, (omega, ell)
+
+
+class TestBorderedRecursion:
+    # sweep_setting2 runs one bordered Durbin recursion over every ell;
+    # run_setting2 solves each ell afresh with Levinson, so it is the
+    # independent reference here.
+
+    @staticmethod
+    def _assert_rows_match(params, rows, ells, rel, energy_floor, entanglement_floor):
+        for row, ell in zip(rows, ells, strict=True):
+            rep = run_setting2(params, ell)
+            ref = (ell, rep.delta_log_negativity, abs(rep.optimized_energy))
+            assert row[0] == ell
+            assert abs(row[1] - ref[1]) <= rel * abs(ref[1]) + entanglement_floor, (params, row, ref)
+            assert abs(row[2] - ref[2]) <= rel * abs(ref[2]) + energy_floor, (params, row, ref)
+            assert np.isnan(row[3]) if row[1] == 0.0 else row[3] == row[2] / row[1]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, A1, A3, A4])
+    @pytest.mark.parametrize("n", [10, 40, 100, 400])
+    def test_every_row_matches_run_setting2(self, n, alpha):
+        for omega in (0.5, 1.0, 2.0):
+            config = RunConfig(mode="setting2", n_sites=n, alpha=alpha, omega=omega, threads=1)
+            rows = sweep_setting2(config).rows
+            self._assert_rows_match(config.params(), rows, range(1, n // 2 - 1), 1e-9, ENERGY_FLOOR,
+                                    ENTANGLEMENT_FLOOR)
+
+    @pytest.mark.parametrize("alpha", [A3, A4])
+    def test_near_critical_rows_at_n_2000(self, alpha):
+        # Durbin's recursion is only weakly stable, and T_q is at its worst
+        # conditioned near alpha = 1 on a long ring.  Measured: 1.5e-15 at
+        # a3 and 2.3e-15 at a4.
+        params = ChainParams(n_sites=2000, alpha=alpha)
+        ells = (1, 10, 100, 500, 998)
+        table = sweep_setting2(RunConfig(mode="setting2", n_sites=2000, alpha=alpha, threads=1))
+        self._assert_rows_match(params, [table.rows[ell - 1] for ell in ells], ells, 1e-12, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bounds", [(1, 1), (1, 5), (7, 7), (3, 12), (20, 23), (12, 23), (None, 4), (9, None)])
+    def test_sub_range_is_a_slice_of_the_full_sweep(self, bounds):
+        full = RunConfig(mode="setting2", n_sites=50, alpha=A3, omega=0.7, threads=1)
+        lo, hi = bounds
+        part = RunConfig(mode="setting2", n_sites=50, alpha=A3, omega=0.7, ell_min=lo, ell_max=hi, threads=1)
+        lines = render_csv(sweep_setting2(full)).splitlines()
+        first, last = lo or 1, hi or 23
+        assert render_csv(sweep_setting2(part)).splitlines() == [lines[0], *lines[first:last + 1]]
+
+    def test_form_that_is_not_positive_definite_fails_at_its_block(self, monkeypatch):
+        # T_q = toeplitz(1, c, 0, ...) is positive definite exactly up to the
+        # order m with 2 c cos(pi / (m + 1)) < 1: at c = 0.56 up to m = 5, so
+        # the recursion yields ell = 1, 2 and raises at ell = 3 (order 7).
+        import qetchain.qet_protocol as qet_protocol
+
+        g, h = correlation_vectors(20, 0.9)
+        g_bad = np.zeros_like(g)
+        g_bad[0], g_bad[1] = 0.5, 0.56
+        monkeypatch.setattr(qet_protocol, "correlation_vectors", lambda n, alpha: (g_bad, h))
+        forms = setting2_forms(ChainParams(n_sites=20, alpha=0.9), 8)
+        next(forms), next(forms)
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            next(forms)
+
+    def test_sweep_needs_no_scipy_linalg(self):
+        script = (
+            "import sys, qetchain\n"
+            "qetchain.sweep_setting2(qetchain.RunConfig(mode='setting2', n_sites=40, alpha=0.9, threads=1))\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        src = str(Path(qetchain.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_failure_inside_the_recursion_names_its_block(self, monkeypatch):
+        import qetchain.experiment as experiment
+
+        def failing(params, hi):
+            yield from list(setting2_forms(params, hi))[:2]
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(experiment, "setting2_forms", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="^ell=3: synthetic failure$"):
+            sweep_setting2(RunConfig(mode="setting2", n_sites=20, alpha=0.9, ell_min=5, threads=1))
 
 
 # Calls that need scipy.linalg: a setting-2 row, a dense optimal plan and a
