@@ -8,8 +8,8 @@ neither is re-exported here.
 
 Importing the package and running the setting-1 and setting-2 sweeps need
 only numpy: each function that calls ``scipy.linalg`` imports it in its own
-body, so only ``run_setting2``, the size sweep, the dense quadratic and
-Schur-complement solves, the oracles and the CLI pay for loading it.
+body, so only ``run_setting2``, the size sweep, the dense quadratic
+solves, the oracles and the CLI pay for loading it.
 """
 
 from .chain_model import (

@@ -4,10 +4,14 @@ Two oracles, neither of which reuses the Schur-complement construction it
 is checking:
 
 * a general-dyne conditioning update that derives the post-measurement
-  covariance and the outcome-to-mean gain directly from the full
-  phase-space covariance, and a Monte Carlo estimator that replays the
-  protocol (sample outcome, condition, displace, read off the target
-  energy) sample by sample, evaluating several plans on one draw;
+  covariance and the outcome-to-mean gains directly from the ground
+  covariance of the whole chain, and a Monte Carlo estimator that replays
+  the protocol (sample outcome, condition, displace, read off the target
+  energy) sample by sample, evaluating several plans on one draw.  The
+  conditioning runs sector by sector, positions on X and momenta on P:
+  the state and the detector noise have no q-p cross-covariance, so the
+  joint 2n x 2n update is block-diagonal and equals the two sector
+  updates exactly;
 * a truncated two-oscillator number-basis diagonalization whose exact
   state cross-checks the Gaussian negativity and correlators.  It solves
   only the block of even n0 + n1, where the ground state lies, and reads
@@ -19,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import eigh
 
 from .chain_model import ChainParams, build_correlations, correlation_vectors, ground_covariance
-from .gaussian_state import CovarianceMatrix, NumericsError
+from .gaussian_state import CovarianceMatrix, NumericsError, _mode_indices
 from .povm_measurement import (
     MeasurementSpec,
     outcome_distribution,
@@ -36,16 +40,18 @@ TOP_LEVEL_POPULATION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class GeneralDyneUpdate:
-    """Conditional covariance of the unmeasured modes and the outcome gain.
+    """Conditional covariance of the unmeasured modes and the outcome gains.
 
-    gain maps the interleaved outcome vector (X_1, P_1, X_2, P_2, ...) of
-    the measured modes, in the order they were passed, to the interleaved
-    (q, p) conditional means of the unmeasured modes in ascending order.
-    The conditional covariance is outcome-independent.
+    gain_x maps the position outcomes X of the measured modes, in the order
+    they were passed, to the conditional q means of the unmeasured modes in
+    ascending order; gain_p maps the momentum outcomes P to their p means.
+    No other outcome moves a mean.  The conditional covariance is
+    outcome-independent.
     """
 
     conditional_covariance: CovarianceMatrix
-    gain: np.ndarray
+    gain_x: np.ndarray
+    gain_p: np.ndarray
 
 
 def general_dyne_update(V: CovarianceMatrix, measured, omega: float) -> GeneralDyneUpdate:
@@ -56,28 +62,27 @@ def general_dyne_update(V: CovarianceMatrix, measured, omega: float) -> GeneralD
 
         V_cond = V_BB - V_BA (V_AA + V_det)^{-1} V_AB
         gain   = V_BA (V_AA + V_det)^{-1}
+
+    The state and V_det are both block-diagonal in (q, p), so V_AA + V_det
+    is too, its inverse is, and the joint update splits exactly into two
+    independent ones: Q conditioned on X with noise 1/(2 omega), and P on
+    P with noise omega/2.  Each sector is solved on its own.
     """
-    meas = list(measured)
+    meas = _mode_indices(measured, V.n_modes)
     if not meas:
         raise ValueError("measured subset must be non-empty")
     measured_set = set(meas)
     rest = [s for s in range(V.n_modes) if s not in measured_set]
     if not rest:
         raise ValueError("measured subset must be a proper subset of the modes")
-    mi = np.array([j for s in meas for j in (2 * s, 2 * s + 1)])
-    ui = np.array([j for s in rest for j in (2 * s, 2 * s + 1)])
-    m = V.matrix
-    v_aa = m[np.ix_(mi, mi)]
-    v_ba = m[np.ix_(ui, mi)]
-    v_bb = m[np.ix_(ui, ui)]
-    v_det = np.zeros_like(v_aa)
-    for i in range(len(meas)):
-        v_det[2 * i, 2 * i] = 1.0 / (2.0 * omega)
-        v_det[2 * i + 1, 2 * i + 1] = omega / 2.0
-    cho = cho_factor(v_aa + v_det)
-    gain = cho_solve(cho, v_ba.T).T
-    cond = v_bb - gain @ v_ba.T
-    return GeneralDyneUpdate(conditional_covariance=CovarianceMatrix(cond), gain=gain)
+    ia, ib = np.array(meas)[:, None], np.array(rest)[:, None]  # column index vectors
+    blocks, gains = [], []
+    for block, noise in ((V.q, 1.0 / (2.0 * omega)), (V.p, omega / 2.0)):
+        v_ba = block[ib, ia.T]
+        gain = np.linalg.solve(block[ia, ia.T] + noise * np.eye(len(meas)), v_ba.T).T
+        blocks.append(block[ib, ib.T] - gain @ v_ba.T)
+        gains.append(gain)
+    return GeneralDyneUpdate(CovarianceMatrix(*blocks), *gains)
 
 
 def monte_carlo_energy(
@@ -93,7 +98,7 @@ def monte_carlo_energy(
     All plans are evaluated on one draw of n_samples outcomes, so a plan's
     result does not depend on which other plans share the call.  Per
     sample: draw an outcome (X, P), form the conditional means of the
-    target and its neighbors through the general-dyne gain, shift the
+    target and its neighbors through the general-dyne gains, shift the
     target means by (phi . X, theta . P), and evaluate the target energy
 
         (1/2) <p_B^2> + (1/2) <q_B^2> - (alpha/2) <q_B (q_{B-1} + q_{B+1})>
@@ -116,45 +121,36 @@ def monte_carlo_energy(
         raise ValueError(f"target site {target_site} is not unmeasured")
     pos = {s: i for i, s in enumerate(rest)}
     upd = general_dyne_update(ground_covariance(params), spec.measured_sites, spec.omega)
-    cond = upd.conditional_covariance.matrix
-    gain_x, gain_p = upd.gain[:, 0::2], upd.gain[:, 1::2]  # columns act on X and on P
+    cond = upd.conditional_covariance
 
     b = pos[target_site]
-    # Coefficients on (X, P) of the summed neighbor position means: a gain row
-    # for an unmeasured neighbor; for a measured one the outcome itself, since
-    # its post-measurement mean is X and it carries no covariance with the target.
-    neighbor_x, neighbor_p = np.zeros(len(spec.measured_sites)), np.zeros(len(spec.measured_sites))
-    constant = 0.5 * (cond[2 * b, 2 * b] + cond[2 * b + 1, 2 * b + 1])
+    # Coefficients on X of the summed neighbor position means: a gain row for
+    # an unmeasured neighbor; for a measured one the outcome itself, since its
+    # post-measurement mean is X and it carries no covariance with the target.
+    neighbor_x = np.zeros(len(spec.measured_sites))
+    constant = 0.5 * (cond.q[b, b] + cond.p[b, b])
     constant -= 0.5 * (corr.h[0] + corr.g[0]) - alpha * corr.g[1]  # ground-state value
     for s in ((target_site - 1) % params.n_sites, (target_site + 1) % params.n_sites):
         if s in pos:
-            neighbor_x += gain_x[2 * pos[s]]
-            neighbor_p += gain_p[2 * pos[s]]
-            constant -= (alpha / 2.0) * cond[2 * b, 2 * pos[s]]
+            neighbor_x += upd.gain_x[pos[s]]
+            constant -= (alpha / 2.0) * cond.q[b, pos[s]]
         else:
             neighbor_x[spec.measured_sites.index(s)] += 1.0
 
-    # One coefficient matrix per outcome channel: row 0 is the neighbor sum,
-    # rows 2i + 1 and 2i + 2 the target's q and p means under plan i.
-    coef_x, coef_p = [neighbor_x], [neighbor_p]
-    for plan in plans:
-        coef_x += [gain_x[2 * b] + plan.phi, gain_x[2 * b + 1]]
-        coef_p += [gain_p[2 * b], gain_p[2 * b + 1] + plan.theta]
-    coef_x, coef_p = np.array(coef_x), np.array(coef_p)
+    # Each mean is one matvec on the stacked draw (X, P); q means read X only
+    # and p means P only.  A matvec's bits do not depend on the other rows,
+    # so a plan's result does not depend on the other plans.
+    zero = np.zeros_like(neighbor_x)
+    draw = np.concatenate(sample_outcomes(outcome_distribution(params, spec), seed, n_samples), axis=1)
+    neighbors = draw @ np.concatenate([neighbor_x, zero])
 
-    xs, ps = sample_outcomes(outcome_distribution(params, spec), seed, n_samples)
-
-    def mean(row: int) -> np.ndarray:
-        return xs @ coef_x[row] + ps @ coef_p[row]
-
-    neighbors = mean(0)
-
-    def estimate(i: int) -> tuple[float, float]:
-        mean_q_b, mean_p_b = mean(2 * i + 1), mean(2 * i + 2)
+    def estimate(plan: DisplacementPlan) -> tuple[float, float]:
+        mean_q_b = draw @ np.concatenate([upd.gain_x[b] + plan.phi, zero])
+        mean_p_b = draw @ np.concatenate([zero, upd.gain_p[b] + plan.theta])
         energy = 0.5 * (mean_p_b**2 + mean_q_b**2) - (alpha / 2.0) * mean_q_b * neighbors + constant
         return float(energy.mean()), float(energy.std(ddof=1) / np.sqrt(n_samples))
 
-    return [estimate(i) for i in range(len(plans))]
+    return [estimate(plan) for plan in plans]
 
 
 @dataclass(frozen=True)

@@ -74,26 +74,27 @@ def unmeasured_sites(params: ChainParams, spec: MeasurementSpec) -> tuple[int, .
 def build_m_matrix(params: ChainParams, spec: MeasurementSpec) -> np.ndarray:
     """Schur complement of the momentum correlations over the unmeasured sites.
 
-    Symmetric positive definite of size N - |A|; the SPD solve against
-    L + (omega/2) I raises LinAlgError if the inputs are not physical.
+    Symmetric positive definite of size N - |A|.  With C the Cholesky factor
+    of L + (omega/2) I and Y = C^{-1} K, M = H_u - Y^T Y; the factorization
+    raises LinAlgError if the inputs are not physical.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
-    meas = list(spec.measured_sites)
-    rest = list(unmeasured_sites(params, spec))
-    _, l_block = correlation_submatrices(params, meas, meas)
-    _, k_block = correlation_submatrices(params, meas, rest)
-    _, h_block = correlation_submatrices(params, rest, rest)
-    noisy = l_block + (spec.omega / 2.0) * np.eye(len(meas))
-    m = h_block - k_block.T @ cho_solve(cho_factor(noisy), k_block)
+    a = len(spec.measured_sites)
+    sites = list(spec.measured_sites) + list(unmeasured_sites(params, spec))
+    _, h = correlation_submatrices(params, sites, sites)  # [[L, K], [K^T, H_u]]
+    chol = np.linalg.cholesky(h[:a, :a] + (spec.omega / 2.0) * np.eye(a))
+    y = np.linalg.solve(chol, h[:a, a:])
+    m = h[a:, a:] - y.T @ y
     return (m + m.T) / 2
 
 
 def quarter_inverse(m: np.ndarray) -> np.ndarray:
-    """(1/4) M^{-1}, symmetrized: the unmeasured sites' position block."""
-    from scipy.linalg import cho_factor, cho_solve
+    """(1/4) M^{-1}, symmetrized: the unmeasured sites' position block.
 
-    m_inv = cho_solve(cho_factor(m), np.eye(m.shape[0]))
+    M^{-1} = C^{-T} C^{-1} from the Cholesky factor C of M, which raises
+    LinAlgError if M is not positive definite.
+    """
+    c_inv = np.linalg.inv(np.linalg.cholesky(m))
+    m_inv = c_inv.T @ c_inv
     return (m_inv + m_inv.T) / 2 / 4.0
 
 

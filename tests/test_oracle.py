@@ -1,10 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from qetchain import (
     ChainParams,
@@ -18,12 +19,14 @@ from qetchain import (
     log_negativity,
     optimal_plan,
     optimized_energy,
+    outcome_distribution,
     post_measurement_covariance,
     reduce,
     sample_outcomes,
     unmeasured_sites,
 )
 from qetchain import oracle
+from qetchain.experiment import ALPHA_PRESETS
 from qetchain.invariants import general_dyne_deviation
 from qetchain.oracle import (
     FockState,
@@ -72,6 +75,56 @@ def einsum_position_correlator(amp):
     return float(np.real(np.einsum("ij,ik,jl,kl->", np.conj(amp), q, q, amp)))
 
 
+def interleaved_general_dyne(v, measured, omega):
+    """Slow reference: joint conditioning on the interleaved 2n x 2n matrix.
+
+    Returns the conditional covariance and the gain from the interleaved
+    outcome (X_1, P_1, X_2, P_2, ...) to the interleaved unmeasured means.
+    """
+    rest = [s for s in range(v.n_modes) if s not in measured]
+    mi = np.array([j for s in measured for j in (2 * s, 2 * s + 1)])
+    ui = np.array([j for s in rest for j in (2 * s, 2 * s + 1)])
+    m = v.matrix
+    v_det = np.diag(np.tile([1.0 / (2.0 * omega), omega / 2.0], len(measured)))
+    cho = cho_factor(m[np.ix_(mi, mi)] + v_det)
+    gain = cho_solve(cho, m[np.ix_(ui, mi)].T).T
+    return m[np.ix_(ui, ui)] - gain @ m[np.ix_(ui, mi)].T, gain
+
+
+def replayed_energy(params, spec, target, plans, n_samples, seed):
+    """Slow reference: the protocol replayed sample by sample in a Python loop.
+
+    Per outcome (X, P): conditional means from the general-dyne gains, the
+    displacement at the target, then the target energy from its second
+    moments (conditional covariance plus products of means), minus the
+    ground-state value.
+    """
+    n, alpha = params.n_sites, params.alpha
+    g, h = correlation_vectors(n, alpha)
+    rest = list(unmeasured_sites(params, spec))
+    upd = general_dyne_update(ground_covariance(params), spec.measured_sites, spec.omega)
+    cq, cp = upd.conditional_covariance.q, upd.conditional_covariance.p
+    b = rest.index(target)
+    xs, ps = sample_outcomes(outcome_distribution(params, spec), seed, n_samples)
+    results = []
+    for plan in plans:
+        energies = []
+        for x, p in zip(xs, ps):
+            q_means = {s: float(upd.gain_x[i] @ x) for i, s in enumerate(rest)}
+            q_means.update({s: float(x[i]) for i, s in enumerate(spec.measured_sites)})
+            q_b = q_means[target] + float(plan.phi @ x)
+            p_b = float(upd.gain_p[b] @ p) + float(plan.theta @ p)
+            energy = 0.5 * (cp[b, b] + p_b**2) + 0.5 * (cq[b, b] + q_b**2)
+            for s in ((target - 1) % n, (target + 1) % n):
+                covariance = cq[b, rest.index(s)] if s in rest else 0.0
+                energy -= (alpha / 2.0) * (covariance + q_b * q_means[s])
+            energies.append(energy - (0.5 * (h[0] + g[0]) - alpha * g[1]))
+        mean = math.fsum(energies) / n_samples
+        variance = math.fsum((e - mean) ** 2 for e in energies) / (n_samples - 1)
+        results.append((mean, math.sqrt(variance / n_samples)))
+    return results
+
+
 @st.composite
 def pure_two_mode_states(draw):
     """Normalised real or complex amplitude matrices with cutoff 1..6."""
@@ -90,12 +143,14 @@ class TestGeneralDyneUpdate:
         v = CovarianceMatrix(0.5 * np.eye(8))
         upd = general_dyne_update(v, [0, 2], omega=1.0)
         np.testing.assert_allclose(upd.conditional_covariance.matrix, 0.5 * np.eye(4), atol=1e-14)
-        np.testing.assert_allclose(upd.gain, 0.0, atol=1e-14)
+        np.testing.assert_allclose(upd.gain_x, 0.0, atol=1e-14)
+        np.testing.assert_allclose(upd.gain_p, 0.0, atol=1e-14)
 
     def test_gain_vanishes_for_uncorrelated_modes(self):
         v = ground_covariance(ChainParams(n_sites=6, alpha=0.0))
         upd = general_dyne_update(v, [0], omega=2.0)
-        np.testing.assert_allclose(upd.gain, 0.0, atol=1e-14)
+        np.testing.assert_allclose(upd.gain_x, 0.0, atol=1e-14)
+        np.testing.assert_allclose(upd.gain_p, 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     @pytest.mark.parametrize("alpha", [0.5, 0.9])
@@ -131,6 +186,31 @@ class TestGeneralDyneUpdate:
             general_dyne_update(v, [], omega=1.0)
         with pytest.raises(ValueError):
             general_dyne_update(v, [0, 1], omega=1.0)
+        v4 = ground_covariance(ChainParams(n_sites=4, alpha=0.5))
+        with pytest.raises(ValueError, match="out of range"):
+            general_dyne_update(v4, [-1], omega=1.0)
+        with pytest.raises(ValueError, match="out of range"):
+            general_dyne_update(v4, [4], omega=1.0)
+        with pytest.raises(ValueError, match="duplicate"):
+            general_dyne_update(v4, [0, 0], omega=1.0)
+
+    # Criterion 3's grid, plus N = 100 at a4 with a one- and a three-site group.
+    SECTOR_GRID = ([(n, alpha, omega, measured) for n, alpha, omega, measured in itertools.product(
+                       (4, 6, 8, 12), (0.0, 0.5, 0.9, 0.99), (0.5, 1.0, 2.0), ((0,), (0, 1), (0, 2)))]
+                   + [(100, ALPHA_PRESETS["a4"], 1.0, (0,)), (100, ALPHA_PRESETS["a4"], 1.0, (0, 1, 2))])
+
+    def test_sector_split_matches_interleaved_conditioning(self):
+        worst = 0.0
+        for n, alpha, omega, measured in self.SECTOR_GRID:
+            v = ground_covariance(ChainParams(n_sites=n, alpha=alpha))
+            upd = general_dyne_update(v, measured, omega)
+            cond, gain = interleaved_general_dyne(v, measured, omega)
+            diffs = [upd.conditional_covariance.matrix - cond, upd.gain_x - gain[0::2, 0::2],
+                     upd.gain_p - gain[1::2, 1::2],
+                     gain[0::2, 1::2], gain[1::2, 0::2]]  # X moves no p mean and P no q mean
+            scale = max(np.abs(cond).max(), np.abs(gain).max())
+            worst = max(worst, max(np.abs(d).max() for d in diffs) / scale)
+        assert worst < 1e-12
 
 
 class TestMonteCarloEnergy:
@@ -203,6 +283,21 @@ class TestMonteCarloEnergy:
         for plans in ([plan, long_plan], [long_plan, plan]):
             with pytest.raises(ValueError, match="plan length"):
                 monte_carlo_energy(params, spec, 4, plans, 10_000, seed=1)
+
+    @pytest.mark.parametrize("measured,target", [
+        ((0,), 1), ((0,), 4),          # target beside the group, and away from it
+        ((0, 1), 7), ((0, 1), 4),      # 7 borders site 0 across the wrap
+        ((0, 1, 2), 3), ((0, 1, 2), 5),
+    ])
+    def test_matches_sample_by_sample_replay(self, measured, target):
+        params = ChainParams(n_sites=8, alpha=0.9, omega=0.7)
+        spec = MeasurementSpec(measured_sites=measured, omega=0.7)
+        plan = optimal_plan(build_quadratics(params, spec, target))
+        bumped = DisplacementPlan(theta=plan.theta * 1.3, phi=plan.phi * 0.6)
+        got = monte_carlo_energy(params, spec, target, [plan, bumped], 2000, seed=29)
+        for (mean, se), (ref_mean, ref_se) in zip(got, replayed_energy(params, spec, target, [plan, bumped], 2000, 29)):
+            assert mean == pytest.approx(ref_mean, rel=1e-12, abs=0)
+            assert se == pytest.approx(ref_se, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("target", [3, 5])  # 3 has a measured neighbor, 5 does not
     def test_shared_draw_equals_one_plan_calls(self, monkeypatch, target):

@@ -366,8 +366,9 @@ class TestBorderedRecursion:
             sweep_setting2(RunConfig(mode="setting2", n_sites=20, alpha=0.9, ell_min=5, threads=1))
 
 
-# Calls that need scipy.linalg: a setting-2 row, a dense optimal plan and a
-# Schur complement.  Run both in a fresh interpreter and in this one.
+# Calls that need scipy.linalg (a setting-2 row and a dense optimal plan) and
+# a Schur complement, which needs only numpy.  Run both in a fresh
+# interpreter and in this one.
 SCIPY_CALLS = """
 params = qetchain.ChainParams(n_sites=40, alpha=0.9, omega=0.7)
 spec = qetchain.MeasurementSpec(measured_sites=(0, 1, 2), omega=0.7)
@@ -385,6 +386,7 @@ def test_setting1_needs_no_scipy_linalg():
         "params = qetchain.ChainParams(n_sites=40, alpha=0.9)\n"
         "qetchain.run_setting1(params, 3)\n"
         "qetchain.sweep_setting1(qetchain.RunConfig(mode='setting1', n_sites=40, d_max=5, threads=1))\n"
+        "qetchain.post_measurement_covariance(params, qetchain.MeasurementSpec(measured_sites=(0, 1)))\n"
         "print('scipy.linalg' in sys.modules)\n"
         + SCIPY_CALLS
         + "print(json.dumps(values))\n"
