@@ -14,11 +14,8 @@ solves, the oracles and the CLI pay for loading it.
 
 from .chain_model import (
     ChainParams,
-    Correlations,
-    build_correlations,
     correlation_submatrices,
     correlation_vectors,
-    dispersion,
     ground_covariance,
 )
 from .gaussian_state import (
@@ -34,7 +31,6 @@ from .gaussian_state import (
 from .povm_measurement import (
     MeasurementSpec,
     OutcomeDistribution,
-    PostMeasurementState,
     build_m_matrix,
     outcome_distribution,
     post_measurement_covariance,
@@ -48,7 +44,6 @@ from .qet_protocol import (
     build_quadratics,
     optimal_plan,
     optimized_energy,
-    plan_energy,
     run_setting1,
     run_setting2,
 )

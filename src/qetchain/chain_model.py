@@ -16,9 +16,9 @@ ground-state correlators
 assemble into circulant matrices G and H with G H = (1/4) I.  Both sums are
 the real parts of one discrete Fourier transform, so the vectors cost
 O(N log N) time and O(N) memory; no N x N matrix is built unless a caller
-asks for the full ground covariance.  The per-site energy offset epsilon is
-fixed so each site has zero energy in the ground state, which forces the
-virial identity h_0 = g_0 - alpha g_1.
+asks for the full ground covariance.  Since (1 - alpha cos theta_k) /
+(2 omega_k) = omega_k / 2, the correlators obey the virial identity
+h_0 = g_0 - alpha g_1.
 """
 
 from __future__ import annotations
@@ -48,36 +48,10 @@ class ChainParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
 
-@dataclass(frozen=True)
-class Correlations:
-    """Correlator vectors g, h (length n_sites) and the site-energy offset."""
-
-    g: np.ndarray
-    h: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
-        if self.g.shape != self.h.shape or self.g.ndim != 1:
-            raise ValueError("g and h must be vectors of equal length")
-
-    @property
-    def n_sites(self) -> int:
-        return self.g.size
-
-
 def mode_frequencies(n_sites: int, alpha: float) -> np.ndarray:
     """All N normal-mode frequencies sqrt(1 - alpha cos(2 pi k / N))."""
     theta = 2.0 * np.pi * np.arange(n_sites) / n_sites
     return np.sqrt(1.0 - alpha * np.cos(theta))
-
-
-def dispersion(params: ChainParams, k: int) -> float:
-    """Frequency of normal mode k, 0 <= k < n_sites."""
-    if not 0 <= k < params.n_sites:
-        raise ValueError(f"mode index {k} out of range for N={params.n_sites}")
-    return float(mode_frequencies(params.n_sites, params.alpha)[k])
 
 
 # Sweeps ask for the same few (n_sites, alpha) pairs over and over; the
@@ -102,33 +76,24 @@ def correlation_vectors(n_sites: int, alpha: float) -> tuple[np.ndarray, np.ndar
     return g, h
 
 
-def build_correlations(params: ChainParams) -> Correlations:
-    """Ground-state correlators and the zero-point energy offset for the chain."""
-    g, h = correlation_vectors(params.n_sites, params.alpha)
-    epsilon = float(h[0] + g[0] - params.alpha * g[1])
-    return Correlations(g=g, h=h, epsilon=epsilon)
-
-
-def _distance_table(row_sites, col_sites, n_sites: int) -> np.ndarray:
-    rows = np.asarray(list(row_sites), dtype=int)
-    cols = np.asarray(list(col_sites), dtype=int)
-    sites = np.concatenate([rows, cols])
-    outside = (sites < 0) | (sites >= n_sites)
-    if outside.any():
-        raise ValueError(f"site index {sites[outside.argmax()]} out of range for N={n_sites}")
-    # g and h are periodic-symmetric, so the mod-N index difference suffices.
-    return (rows[:, None] - cols[None, :]) % n_sites
-
-
 def correlation_submatrices(params: ChainParams, row_sites, col_sites) -> tuple[np.ndarray, np.ndarray]:
     """Blocks of the position and momentum correlation matrices.
 
     Returns (G_block, H_block) with G_block[a, b] = g at the periodic
-    separation of row_sites[a] and col_sites[b], and likewise for h.
+    separation of row_sites[a] and col_sites[b], and likewise for h.  Every
+    site must lie in [0, N); none wraps.
     """
-    corr = build_correlations(params)
-    dist = _distance_table(row_sites, col_sites, params.n_sites)
-    return corr.g[dist], corr.h[dist]
+    n = params.n_sites
+    rows = np.asarray(list(row_sites), dtype=int)
+    cols = np.asarray(list(col_sites), dtype=int)
+    sites = np.concatenate([rows, cols])
+    outside = (sites < 0) | (sites >= n)
+    if outside.any():
+        raise ValueError(f"site index {sites[outside.argmax()]} out of range for N={n}")
+    g, h = correlation_vectors(n, params.alpha)
+    # g and h are periodic-symmetric, so the mod-N index difference suffices.
+    dist = (rows[:, None] - cols[None, :]) % n
+    return g[dist], h[dist]
 
 
 def ground_covariance(params: ChainParams) -> CovarianceMatrix:
@@ -136,7 +101,5 @@ def ground_covariance(params: ChainParams) -> CovarianceMatrix:
 
     The ground state is pure, so every symplectic eigenvalue equals 1/2.
     """
-    corr = build_correlations(params)
-    n = params.n_sites
-    dist = _distance_table(range(n), range(n), n)
-    return CovarianceMatrix(corr.g[dist], corr.h[dist])
+    sites = range(params.n_sites)
+    return CovarianceMatrix(*correlation_submatrices(params, sites, sites))

@@ -1,9 +1,10 @@
 """Command-line front end: sweep subcommands, config files, the validate suite.
 
 Exit codes: 0 on success, 1 on configuration errors (unknown flags or keys,
-malformed values, out-of-range grids), 2 on numerical failures.  The
-subparsers are the one list of flags: a config-file key is a flag without
-its dashes, converted by the flag's type, and every default is RunConfig's.
+malformed values, out-of-range grids, an unwritable --out), 2 on numerical
+failures.  The subparsers are the one list of flags: a config-file key is
+a flag without its dashes, converted by the flag's type, and every default
+is RunConfig's.
 """
 
 from __future__ import annotations
@@ -171,7 +172,10 @@ def cli_main(argv=None) -> int:
         }[config.mode]
         table = sweep(config)
         if config.out:
-            experiment.write_csv(table, config.out)
+            try:
+                experiment.write_csv(table, config.out)
+            except OSError as exc:
+                raise ValueError(f"cannot write {config.out}: {exc.strerror}") from exc
         if config.mode == "setting2":
             ratio = table.column("ratio")
             ell = table.column("ell")

@@ -73,6 +73,8 @@ class RunConfig:
             raise ValueError(f"threads must be >= 0, got {self.threads}")
         if self.d_max < 0:
             raise ValueError(f"d-max must be >= 0, got {self.d_max}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if not self.n_list:
             raise ValueError("n-list must name at least one size")

@@ -47,8 +47,7 @@ def purity_deviation(state: CovarianceMatrix) -> float:
 
 def unmeasured_purity_deviation(params: ChainParams, spec: MeasurementSpec) -> float:
     """Purity deviation of the unmeasured sites after the measurement."""
-    state = post_measurement_covariance(params, spec)
-    return purity_deviation(reduce(state.covariance, unmeasured_sites(params, spec)))
+    return purity_deviation(reduce(post_measurement_covariance(params, spec), unmeasured_sites(params, spec)))
 
 
 def general_dyne_deviation(sizes, alphas, omegas, groups) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .chain_model import ChainParams, build_correlations, correlation_vectors, ground_covariance
+from .chain_model import ChainParams, correlation_vectors, ground_covariance
 from .gaussian_state import CovarianceMatrix, NumericsError, _mode_indices
 from .povm_measurement import (
     MeasurementSpec,
@@ -114,7 +114,7 @@ def monte_carlo_energy(
     plans = list(plans)
     if any(plan.theta.size != len(spec.measured_sites) for plan in plans):
         raise ValueError("plan length does not match the measured group")
-    corr = build_correlations(params)
+    g, h = correlation_vectors(params.n_sites, params.alpha)
     alpha = params.alpha
     rest = unmeasured_sites(params, spec)
     if target_site not in rest:
@@ -129,7 +129,7 @@ def monte_carlo_energy(
     # post-measurement mean is X and it carries no covariance with the target.
     neighbor_x = np.zeros(len(spec.measured_sites))
     constant = 0.5 * (cond.q[b, b] + cond.p[b, b])
-    constant -= 0.5 * (corr.h[0] + corr.g[0]) - alpha * corr.g[1]  # ground-state value
+    constant -= 0.5 * (h[0] + g[0]) - alpha * g[1]  # ground-state value
     for s in ((target_site - 1) % params.n_sites, (target_site + 1) % params.n_sites):
         if s in pos:
             neighbor_x += upd.gain_x[pos[s]]

@@ -51,14 +51,6 @@ class OutcomeDistribution:
     p_covariance: np.ndarray
 
 
-@dataclass(frozen=True)
-class PostMeasurementState:
-    """Outcome-independent covariance of the whole chain after measurement."""
-
-    covariance: CovarianceMatrix
-    m_matrix: np.ndarray
-
-
 def unmeasured_sites(params: ChainParams, spec: MeasurementSpec) -> tuple[int, ...]:
     """Complement of the measured set, ascending; orders the rows of M."""
     measured = set(spec.measured_sites)
@@ -98,8 +90,8 @@ def quarter_inverse(m: np.ndarray) -> np.ndarray:
     return (m_inv + m_inv.T) / 2 / 4.0
 
 
-def post_measurement_covariance(params: ChainParams, spec: MeasurementSpec) -> PostMeasurementState:
-    """Assemble the full post-measurement position and momentum blocks.
+def post_measurement_covariance(params: ChainParams, spec: MeasurementSpec) -> CovarianceMatrix:
+    """The whole chain's outcome-independent covariance after the measurement.
 
     Measured sites carry the coherent-state variances 1/(2 omega) and
     omega/2; the unmeasured sites carry (1/4) M^{-1} and M; every cross
@@ -115,7 +107,7 @@ def post_measurement_covariance(params: ChainParams, spec: MeasurementSpec) -> P
     block = np.ix_(rest, rest)
     q[block] = quarter_inverse(m)
     p[block] = m
-    return PostMeasurementState(covariance=CovarianceMatrix(q, p), m_matrix=m)
+    return CovarianceMatrix(q, p)
 
 
 def outcome_distribution(params: ChainParams, spec: MeasurementSpec) -> OutcomeDistribution:

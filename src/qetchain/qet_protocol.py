@@ -68,7 +68,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain_model import ChainParams, build_correlations, correlation_vectors
+from .chain_model import ChainParams, correlation_submatrices, correlation_vectors
 from .gaussian_state import PHYSICALITY_TOL, NumericsError, _entropy_terms
 from .povm_measurement import MeasurementSpec
 
@@ -126,16 +126,12 @@ def build_quadratics(params: ChainParams, spec: MeasurementSpec, target_site: in
     """Assemble T_p, T_q, J_p, J_q for a target outside the measured group."""
     if target_site in spec.measured_sites:
         raise ValueError(f"target site {target_site} is inside the measured group")
-    if not 0 <= target_site < params.n_sites:
-        raise ValueError(f"target site {target_site} out of range for N={params.n_sites}")
-    corr = build_correlations(params)
-    n = params.n_sites
-    meas = np.asarray(spec.measured_sites, dtype=int)
-    dist = (meas[:, None] - meas[None, :]) % n
-    eye = np.eye(meas.size)
-    t_p = corr.h[dist] + (spec.omega / 2.0) * eye
-    t_q = corr.g[dist] + eye / (2.0 * spec.omega)
-    j = corr.h[(meas - target_site) % n]
+    meas = list(spec.measured_sites)
+    g, h = correlation_submatrices(params, meas, meas + [target_site])  # columns: group, then target
+    eye = np.eye(len(meas))
+    t_p = h[:, :-1] + (spec.omega / 2.0) * eye
+    t_q = g[:, :-1] + eye / (2.0 * spec.omega)
+    j = h[:, -1]
     return QetQuadratics(t_p=t_p, t_q=t_q, j_p=j, j_q=j)
 
 
@@ -155,17 +151,6 @@ def optimized_energy(quadratics: QetQuadratics) -> float:
     p_part = quadratics.j_p @ cho_solve(cho_factor(quadratics.t_p), quadratics.j_p)
     q_part = quadratics.j_q @ cho_solve(cho_factor(quadratics.t_q), quadratics.j_q)
     return float(-0.5 * (p_part + q_part))
-
-
-def plan_energy(quadratics: QetQuadratics, plan: DisplacementPlan) -> float:
-    """Displacement energy of an arbitrary plan; independent check of optimized_energy."""
-    theta, phi = plan.theta, plan.phi
-    return float(
-        0.5 * theta @ quadratics.t_p @ theta
-        + quadratics.j_p @ theta
-        + 0.5 * phi @ quadratics.t_q @ phi
-        + quadratics.j_q @ phi
-    )
 
 
 def run_setting1(params: ChainParams, d: int) -> QetReport:

@@ -113,7 +113,7 @@ def test_criterion_5_setting1_separability_structure():
     for name in ("a1", "a2", "a3", "a4"):
         params = ChainParams(n_sites=100, alpha=ALPHA_PRESETS[name])
         v0 = ground_covariance(params)
-        vm = post_measurement_covariance(params, MeasurementSpec(measured_sites=(0,))).covariance
+        vm = post_measurement_covariance(params, MeasurementSpec(measured_sites=(0,)))
         before = max(log_negativity(reduce(v0, [0, d + 1]), [1]) for d in range(1, 41))
         after = max(log_negativity(reduce(vm, [0, d + 1]), [1]) for d in range(0, 41))
         gates.append((f"{name} E_N before, d>=1", before < 1e-10, f"max {before:.2e}"))

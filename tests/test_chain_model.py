@@ -8,10 +8,8 @@ import pytest
 
 from qetchain import (
     ChainParams,
-    build_correlations,
     correlation_submatrices,
     correlation_vectors,
-    dispersion,
     ground_covariance,
     symplectic_eigenvalues,
 )
@@ -63,41 +61,31 @@ class TestChainParams:
 
 class TestDispersion:
     def test_decoupled_chain_is_flat(self):
-        params = ChainParams(n_sites=4, alpha=0.0)
-        assert all(dispersion(params, k) == 1.0 for k in range(4))
+        assert all(mode_frequencies(4, 0.0) == 1.0)
 
     def test_frozen_values(self):
-        params = ChainParams(n_sites=4, alpha=0.9)
-        assert dispersion(params, 0) == pytest.approx(0.3162277660168379, abs=1e-12)
-        assert dispersion(params, 2) == pytest.approx(1.378404875209022, abs=1e-12)
-
-    def test_mode_index_out_of_range(self):
-        params = ChainParams(n_sites=4, alpha=0.9)
-        with pytest.raises(ValueError):
-            dispersion(params, 4)
-        with pytest.raises(ValueError):
-            dispersion(params, -1)
+        w = mode_frequencies(4, 0.9)
+        assert w[0] == pytest.approx(0.3162277660168379, abs=1e-12)
+        assert w[2] == pytest.approx(1.378404875209022, abs=1e-12)
 
 
 class TestBuildCorrelations:
     def test_decoupled_chain(self):
-        corr = build_correlations(ChainParams(n_sites=4, alpha=0.0))
-        np.testing.assert_allclose(corr.g, [0.5, 0, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(corr.h, [0.5, 0, 0, 0], atol=1e-15)
-        assert corr.epsilon == pytest.approx(1.0, abs=1e-15)
+        g, h = correlation_vectors(4, 0.0)
+        np.testing.assert_allclose(g, [0.5, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(h, [0.5, 0, 0, 0], atol=1e-15)
 
     def test_frozen_mode_sums(self):
-        corr = build_correlations(ChainParams(n_sites=4, alpha=0.9))
-        assert corr.g[0] == pytest.approx(0.7359692387847989, abs=1e-12)
-        assert corr.g[1] == pytest.approx(0.3046001762572960, abs=1e-12)
-        assert corr.h[0] == pytest.approx(0.4618290801532325, abs=1e-12)
-        assert corr.epsilon == pytest.approx(0.9236581603064651, abs=1e-12)
+        g, h = correlation_vectors(4, 0.9)
+        assert g[0] == pytest.approx(0.7359692387847989, abs=1e-12)
+        assert g[1] == pytest.approx(0.3046001762572960, abs=1e-12)
+        assert h[0] == pytest.approx(0.4618290801532325, abs=1e-12)
 
     def test_matches_plain_python_sums(self):
-        corr = build_correlations(ChainParams(n_sites=6, alpha=0.7))
-        g, h = brute_force_correlators(6, 0.7)
-        np.testing.assert_allclose(corr.g, g, atol=1e-13)
-        np.testing.assert_allclose(corr.h, h, atol=1e-13)
+        g, h = correlation_vectors(6, 0.7)
+        g_ref, h_ref = brute_force_correlators(6, 0.7)
+        np.testing.assert_allclose(g, g_ref, atol=1e-13)
+        np.testing.assert_allclose(h, h_ref, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_virial_identity_random_draws(self, seed):
@@ -105,8 +93,8 @@ class TestBuildCorrelations:
         for _ in range(10):
             n = 2 * int(rng.integers(2, 80))
             alpha = float(rng.uniform(0.0, 1.0 - 1e-9))
-            corr = build_correlations(ChainParams(n_sites=n, alpha=alpha))
-            assert abs(corr.h[0] - (corr.g[0] - alpha * corr.g[1])) < 1e-12
+            g, h = correlation_vectors(n, alpha)
+            assert abs(h[0] - (g[0] - alpha * g[1])) < 1e-12
 
     @pytest.mark.parametrize("n", [4, 10, 100, 400])
     @pytest.mark.parametrize("alpha", [0.0, 0.3, A1, A4])

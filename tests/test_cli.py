@@ -111,6 +111,17 @@ class TestExitCodes:
         assert cli_main(["size-sweep", "--n-list", "a,b"]) == 1
         assert "argument --n-list: must be comma-separated integers, got 'a,b'" in capsys.readouterr().err
 
+    def test_negative_seed_fails_before_any_check(self, capsys):
+        assert cli_main(["validate", "--seed", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "seed must be >= 0, got -1" in err
+
+    def test_unwritable_out_names_the_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s1.csv"
+        assert cli_main(["setting1", "--n", "20", "--d-max", "3", "--threads", "1", "--out", str(out)]) == 1
+        assert f"qetchain: error: cannot write {out}: " in capsys.readouterr().err
+
 
 def test_module_entry_point_runs_without_warnings():
     # `python -m qetchain.cli` must not find qetchain.cli already imported by the package.

@@ -139,7 +139,7 @@ def _setting1_row_rebuilt(params: ChainParams, d: int) -> tuple:
     correlation_vectors.cache_clear()
     spec = MeasurementSpec(measured_sites=(0,), omega=params.omega)
     v0 = ground_covariance(params)
-    vm = post_measurement_covariance(params, spec).covariance
+    vm = post_measurement_covariance(params, spec)
     pair = [0, d + 1]
     e_before = log_negativity(reduce(v0, pair), [1])
     e_after = log_negativity(reduce(vm, pair), [1])

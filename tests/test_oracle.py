@@ -160,7 +160,7 @@ class TestGeneralDyneUpdate:
         spec = MeasurementSpec(measured_sites=(0, 1), omega=omega)
         upd = general_dyne_update(ground_covariance(params), spec.measured_sites, omega)
         built = post_measurement_covariance(params, spec)
-        ref = reduce(built.covariance, unmeasured_sites(params, spec)).matrix
+        ref = reduce(built, unmeasured_sites(params, spec)).matrix
         np.testing.assert_allclose(upd.conditional_covariance.matrix, ref, atol=1e-10)
 
     def test_deviation_reference_is_the_assembled_state(self):
@@ -172,7 +172,7 @@ class TestGeneralDyneUpdate:
         for n, alpha, omega, measured in itertools.product(*grid):
             params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
             spec = MeasurementSpec(measured_sites=measured, omega=omega)
-            assembled = reduce(post_measurement_covariance(params, spec).covariance, unmeasured_sites(params, spec))
+            assembled = reduce(post_measurement_covariance(params, spec), unmeasured_sites(params, spec))
             m = build_m_matrix(params, spec)
             np.testing.assert_array_equal(quarter_inverse(m), assembled.q)
             np.testing.assert_array_equal(m, assembled.p)

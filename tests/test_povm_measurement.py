@@ -59,12 +59,12 @@ class TestPostMeasurementCovariance:
     def test_vacuum_measurement_changes_nothing(self):
         params = ChainParams(n_sites=4, alpha=0.0, omega=1.0)
         state = post_measurement_covariance(params, MeasurementSpec(measured_sites=(0, 2)))
-        np.testing.assert_allclose(state.covariance.matrix, 0.5 * np.eye(8), atol=1e-14)
+        np.testing.assert_allclose(state.matrix, 0.5 * np.eye(8), atol=1e-14)
 
     def test_block_structure(self):
         params = ChainParams(n_sites=8, alpha=0.9, omega=2.0)
         spec = MeasurementSpec(measured_sites=(1, 2), omega=2.0)
-        v = post_measurement_covariance(params, spec).covariance.matrix
+        v = post_measurement_covariance(params, spec).matrix
         for s in spec.measured_sites:
             assert v[2 * s, 2 * s] == 0.25          # 1/(2 omega)
             assert v[2 * s + 1, 2 * s + 1] == 1.0   # omega/2
@@ -84,7 +84,7 @@ class TestPostMeasurementCovariance:
         params = ChainParams(n_sites=n, alpha=alpha)
         spec = MeasurementSpec(measured_sites=measured)
         state = post_measurement_covariance(params, spec)
-        block = reduce(state.covariance, unmeasured_sites(params, spec))
+        block = reduce(state, unmeasured_sites(params, spec))
         np.testing.assert_allclose(symplectic_eigenvalues(block), 0.5, atol=1e-8)
 
     def test_position_momentum_blocks_are_inverse_pair(self):
@@ -92,7 +92,7 @@ class TestPostMeasurementCovariance:
         spec = MeasurementSpec(measured_sites=(0, 1, 2))
         state = post_measurement_covariance(params, spec)
         rest = np.array(unmeasured_sites(params, spec))
-        v = state.covariance.matrix
+        v = state.matrix
         qq = v[np.ix_(2 * rest, 2 * rest)]
         pp = v[np.ix_(2 * rest + 1, 2 * rest + 1)]
         np.testing.assert_allclose(qq @ pp, np.eye(rest.size) / 4, atol=1e-10)
@@ -101,7 +101,7 @@ class TestPostMeasurementCovariance:
         # Adjacent single-site groups lose their negativity entirely.
         params = ChainParams(n_sites=100, alpha=A4)
         state = post_measurement_covariance(params, MeasurementSpec(measured_sites=(0,)))
-        pair = reduce(state.covariance, [0, 1])
+        pair = reduce(state, [0, 1])
         assert log_negativity(pair, [1]) < 1e-10
 
 

@@ -22,7 +22,6 @@ from qetchain import (
     mutual_information,
     optimal_plan,
     optimized_energy,
-    plan_energy,
     post_measurement_covariance,
     reduce,
     run_setting1,
@@ -34,6 +33,17 @@ from qetchain.qet_protocol import setting2_forms
 
 A1, A2, A3, A4 = (ALPHA_PRESETS[k] for k in ("a1", "a2", "a3", "a4"))
 T_P_FROZEN = 0.9618290801532325  # h0 + 1/2 at N=4, alpha=0.9, omega=1
+
+
+def plan_energy(quad, plan):
+    """Displacement energy of an arbitrary plan, evaluated from the quadratic form directly."""
+    theta, phi = plan.theta, plan.phi
+    return float(
+        0.5 * theta @ quad.t_p @ theta
+        + quad.j_p @ theta
+        + 0.5 * phi @ quad.t_q @ phi
+        + quad.j_q @ phi
+    )
 
 
 class TestBuildQuadratics:
@@ -52,6 +62,12 @@ class TestBuildQuadratics:
         params = ChainParams(n_sites=8, alpha=0.9)
         with pytest.raises(ValueError):
             build_quadratics(params, MeasurementSpec(measured_sites=(0, 1)), 1)
+
+    @pytest.mark.parametrize("site", [-1, 13])
+    def test_out_of_range_measured_site_rejected(self, site):
+        params = ChainParams(n_sites=10, alpha=0.9)
+        with pytest.raises(ValueError, match=f"site index {site} out of range for N=10"):
+            build_quadratics(params, MeasurementSpec(measured_sites=(site,)), 5)
 
     def test_couplings_depend_on_periodic_distance_only(self):
         # Shifting the measured group and target together changes nothing.
@@ -243,7 +259,7 @@ class TestClosedFormsMatchFullStateRoute:
         for omega in self.OMEGAS:
             params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
             spec = MeasurementSpec(measured_sites=(0,), omega=omega)
-            measured = post_measurement_covariance(params, spec).covariance
+            measured = post_measurement_covariance(params, spec)
             for d, (e_n_before, s_m_before) in enumerate(before):
                 rep = run_setting1(params, d)
                 ref = (e_n_before, log_negativity(reduce(measured, [0, d + 1]), [1]),
@@ -267,7 +283,7 @@ class TestClosedFormsMatchFullStateRoute:
                 rep = run_setting2(params, ell)
                 target, size = n // 2 + ell, 2 * ell + 1
                 spec = MeasurementSpec(measured_sites=tuple(range(size)), omega=omega)
-                after = post_measurement_covariance(params, spec).covariance
+                after = post_measurement_covariance(params, spec)
                 ref = (before[ell][0], log_negativity(after, [target]),
                        before[ell][1], mutual_information(after, rests[ell], [target]))
                 got = (rep.e_n_before, rep.e_n_after, rep.s_m_before, rep.s_m_after)
