@@ -10,6 +10,8 @@ is RunConfig's.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
@@ -57,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
 
-    sweep_flags = (("--threads", dict(type=int, help=f"worker threads, 0 = auto (default {RunConfig.threads})")),
+    sweep_flags = (("--threads", dict(type=int, help="size-sweep worker threads, 0 = auto "
+                                                     f"(default {RunConfig.threads})")),
                    ("--fit-min", dict(type=float)), ("--fit-max", dict(type=float)),
                    ("--out", dict(help="CSV output path")))
     mode("setting1", "separation sweep with single-site groups",
@@ -170,6 +173,10 @@ def cli_main(argv=None) -> int:
             "setting2": experiment.sweep_setting2,
             "size-sweep": experiment.sweep_size,
         }[config.mode]
+        parent = os.path.dirname(os.path.abspath(config.out or "."))
+        if config.out and not os.access(parent, os.W_OK):  # before the sweep; opening --out would truncate it
+            reason = os.strerror(errno.EACCES if os.path.isdir(parent) else errno.ENOENT)
+            raise ValueError(f"cannot write {config.out}: {reason}")
         table = sweep(config)
         if config.out:
             try:

@@ -5,11 +5,13 @@ sweep with single-site groups (setting1), a measured-block-size sweep
 against the antipodal target (setting2), and a system-size sweep at the
 maximal block ell = N/2 - 2 (size-sweep).  Rows are pure functions of the
 configuration, and floats are serialized with 12 significant digits so that
-repeated runs produce byte-identical files.  Setting-1 and size-sweep rows
-are closed forms in the memoised correlator vectors (see qet_protocol), so
-they share nothing but those read-only arrays and run optionally in a
-thread pool, always merged in grid order.  Setting-2 rows all come from one
-sequential bordered recursion over ell.
+repeated runs produce byte-identical files.  Setting-1 rows are zipped
+from numpy columns that one setting1_columns call evaluates for every
+separation at once.  Setting-2 rows all come from one sequential bordered
+recursion over ell.  Size-sweep rows are closed forms in the memoised
+correlator vectors (see qet_protocol), so they share nothing but those
+read-only arrays and run optionally in a thread pool, always merged in grid
+order; threads affects the size sweep only.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .chain_model import ChainParams, correlation_vectors
 from .gaussian_state import NumericsError
-from .qet_protocol import run_setting1, run_setting2, setting2_forms, setting2_terms, target_x2m1
+from .qet_protocol import run_setting2, setting1_columns, setting2_forms, setting2_terms, target_x2m1
 
 ALPHA_PRESETS = {
     "a1": 0.90,
@@ -125,29 +128,19 @@ def _map_ordered(fn: Callable, items: Iterable, threads: int, grid: str) -> list
 
 
 def sweep_setting1(config: RunConfig) -> SweepTable:
-    """One row per separation d = 0..d_max for single-site groups."""
+    """One row per separation d = 0..d_max for single-site groups, from one column evaluation.
+
+    E_N and S_M after the measurement are exactly 0 (see qet_protocol), so
+    each drop equals its before value.  threads has no effect here.
+    """
     params = config.params()
     if config.d_max + 1 >= params.n_sites:
         raise ValueError(f"d-max {config.d_max} does not fit on a ring of {params.n_sites} sites")
-
-    def row(d: int) -> tuple:
-        rep = run_setting1(params, d)
-        return (
-            d,
-            rep.optimized_energy,
-            rep.e_n_before,
-            rep.e_n_after,
-            rep.delta_log_negativity,
-            rep.s_m_before,
-            rep.s_m_after,
-            rep.delta_mutual_information,
-        )
-
-    rows = _map_ordered(row, range(config.d_max + 1), config.threads, "d")
+    energy, _, _, e_n, s_m = (column.tolist() for column in setting1_columns(params, config.d_max))
     return SweepTable(
         columns=("d", "E_B_opt", "E_N_before", "E_N_after", "delta_E_N",
                  "S_M_before", "S_M_after", "delta_S_M"),
-        rows=tuple(rows),
+        rows=tuple(zip(range(config.d_max + 1), energy, e_n, repeat(0.0), e_n, s_m, repeat(0.0), s_m)),
     )
 
 

@@ -31,6 +31,9 @@ few correlators; no N x N state is built.
   and (g_0 +- g_r)(h_0 -+ h_r) after the partial transpose.  After the
   measurement site 0 is a coherent state in product with the rest, so the
   pair's negativity and mutual information are exactly zero.
+  setting1_columns evaluates these formulas for a whole range of d as numpy
+  columns over the slices g[1 + d], h[1 + d]; run_setting1 is its
+  one-element slice.
 * run_setting2 measures the block {0..2 ell} and splits the pure chain
   into the antipodal target against the other N - 1 sites.  Such a split
   is locally two-mode squeezed (Botero and Reznik, PRA 67, 052311 (2003)):
@@ -62,7 +65,6 @@ the oracles these closed forms are tested against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -153,34 +155,46 @@ def optimized_energy(quadratics: QetQuadratics) -> float:
     return float(-0.5 * (p_part + q_part))
 
 
+def setting1_columns(params: ChainParams, d_max: int, d_min: int = 0) -> tuple[np.ndarray, ...]:
+    """(E_opt, theta, phi, E_N_before, S_M_before) of run_setting1 for d = d_min..d_max, as columns.
+
+    One correlator lookup and one numpy evaluation per column serve every
+    separation; g_0, h_0, t_p, t_q and S(nu_0) are formed once.  Raises
+    NumericsError naming the first d with a non-finite cell, as when a
+    pair's nu^2 product is negative.
+    """
+    if d_min < 0:
+        raise ValueError(f"separation d must be >= 0, got {d_min}")
+    if d_max + 1 >= params.n_sites:
+        raise ValueError(f"separation d={d_max} wraps past the ring size N={params.n_sites}")
+    g, h = correlation_vectors(params.n_sites, params.alpha)
+    g_0, h_0, g_r, h_r = g[0], h[0], g[d_min + 1:d_max + 2], h[d_min + 1:d_max + 2]
+    t_p, t_q = h_0 + params.omega / 2.0, g_0 + 1.0 / (2.0 * params.omega)
+    energy = -0.5 * (h_r * h_r / t_p + h_r * h_r / t_q)
+    with np.errstate(invalid="ignore", divide="ignore"):  # a bad cell is caught below as non-finite
+        nu_transposed = np.sqrt([(g_0 + g_r) * (h_0 - h_r), (g_0 - g_r) * (h_0 + h_r)])
+        e_n_before = np.sum(np.maximum(0.0, -np.log2(2.0 * nu_transposed)), axis=0)
+        s_plus, s_minus = _entropy_terms(np.sqrt([(g_0 + g_r) * (h_0 + h_r), (g_0 - g_r) * (h_0 - h_r)]))
+    s_m_before = 2.0 * _entropy_terms(np.sqrt(g_0 * h_0)) - (s_plus + s_minus)
+    bad = np.flatnonzero(~np.isfinite(energy + e_n_before + s_m_before))
+    if bad.size:
+        i = bad[0]
+        raise NumericsError(f"d={d_min + i}: non-finite cell: E_B_opt {energy[i]:.6g}, "
+                            f"E_N_before {e_n_before[i]:.6g}, S_M_before {s_m_before[i]:.6g}")
+    return energy, -h_r / t_p, -h_r / t_q, e_n_before, s_m_before
+
+
 def run_setting1(params: ChainParams, d: int) -> QetReport:
-    """Single measured site at 0, single target at d + 1.
+    """Single measured site at 0, single target at d + 1: the d row of setting1_columns.
 
     d counts the sites strictly between the pair, so d = 0 means nearest
     neighbors, the only separation at which the ground state holds
     two-site entanglement.
     """
-    if d < 0:
-        raise ValueError(f"separation d must be >= 0, got {d}")
-    target = d + 1
-    if target >= params.n_sites:
-        raise ValueError(f"separation d={d} wraps past the ring size N={params.n_sites}")
-    g, h = correlation_vectors(params.n_sites, params.alpha)
-    g_0, h_0, g_r, h_r = (float(v) for v in (g[0], h[0], g[target], h[target]))
-    nu_transposed = (math.sqrt((g_0 + g_r) * (h_0 - h_r)), math.sqrt((g_0 - g_r) * (h_0 + h_r)))
-    e_n_before = sum(max(0.0, -math.log2(2.0 * nu)) for nu in nu_transposed)
-    s_0, s_plus, s_minus = _entropy_terms(np.array([
-        math.sqrt(g_0 * h_0), math.sqrt((g_0 + g_r) * (h_0 + h_r)), math.sqrt((g_0 - g_r) * (h_0 - h_r))]))
-    t_p, t_q = h_0 + params.omega / 2.0, g_0 + 1.0 / (2.0 * params.omega)
-    return QetReport(
-        optimized_energy=-0.5 * (h_r * h_r / t_p + h_r * h_r / t_q),
-        plan=DisplacementPlan(theta=-h_r / t_p, phi=-h_r / t_q),
-        e_n_before=e_n_before,
-        e_n_after=0.0,
-        s_m_before=float(2.0 * s_0 - (s_plus + s_minus)),
-        s_m_after=0.0,
-        delta_log_negativity=e_n_before,
-    )
+    energy, theta, phi, e_n_before, s_m_before = (float(c[0]) for c in setting1_columns(params, d, d))
+    return QetReport(optimized_energy=energy, plan=DisplacementPlan(theta=theta, phi=phi),
+                     e_n_before=e_n_before, e_n_after=0.0, s_m_before=s_m_before, s_m_after=0.0,
+                     delta_log_negativity=e_n_before)
 
 
 def target_x2m1(g: np.ndarray, h: np.ndarray) -> float:

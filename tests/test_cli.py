@@ -88,19 +88,22 @@ class TestExitCodes:
         assert "numerical failure" in err and "ell=37" in err and "synthetic failure" in err
 
     def test_failing_setting1_row_names_its_separation(self, monkeypatch, capsys):
-        import qetchain.experiment as experiment
+        # The sweep evaluates every separation in one pass, so the fault is
+        # planted in the correlators the pass reads: only the pair at
+        # r = d + 1 = 4 is unphysical, with (g_0 - g_4)(h_0 + h_4) < 0.
+        import qetchain.qet_protocol as qet_protocol
 
-        real = experiment.run_setting1
+        real = qet_protocol.correlation_vectors
 
-        def flaky(params, d):
-            if d == 3:
-                raise NumericsError("synthetic failure")
-            return real(params, d)
+        def unphysical_at_4(n_sites, alpha):
+            g, h = (v.copy() for v in real(n_sites, alpha))
+            g[4] = 2.0 * g[0]
+            return g, h
 
-        monkeypatch.setattr(experiment, "run_setting1", flaky)
+        monkeypatch.setattr(qet_protocol, "correlation_vectors", unphysical_at_4)
         assert cli_main(["setting1", "--n", "20", "--alpha", "a1", "--d-max", "5", "--threads", "1"]) == 2
         err = capsys.readouterr().err
-        assert "numerical failure" in err and "d=3" in err and "synthetic failure" in err
+        assert "numerical failure" in err and "d=3" in err and "non-finite cell" in err
 
     @pytest.mark.parametrize("args", [["validate", "--threads", "1"], ["setting1", "--seed", "1"]])
     def test_flag_the_mode_never_reads_is_rejected(self, args, capsys):
@@ -121,6 +124,26 @@ class TestExitCodes:
         out = tmp_path / "missing" / "s1.csv"
         assert cli_main(["setting1", "--n", "20", "--d-max", "3", "--threads", "1", "--out", str(out)]) == 1
         assert f"qetchain: error: cannot write {out}: " in capsys.readouterr().err
+
+    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        import qetchain.experiment as experiment
+
+        monkeypatch.setattr(experiment, "sweep_setting1", lambda config: pytest.fail("sweep ran before --out"))
+        out = tmp_path / "missing" / "s1.csv"
+        assert cli_main(["setting1", "--n", "20", "--d-max", "3", "--out", str(out)]) == 1
+        assert f"qetchain: error: cannot write {out}: No such file or directory" in capsys.readouterr().err
+
+    def test_failing_sweep_leaves_an_existing_out_intact(self, tmp_path, monkeypatch):
+        import qetchain.experiment as experiment
+
+        def boom(config):
+            raise NumericsError("synthetic failure")
+
+        monkeypatch.setattr(experiment, "sweep_setting1", boom)
+        out = tmp_path / "s1.csv"
+        out.write_text("d,E_B_opt\n0,-1\n")
+        assert cli_main(["setting1", "--n", "20", "--d-max", "3", "--out", str(out)]) == 2
+        assert out.read_text() == "d,E_B_opt\n0,-1\n"
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -19,11 +20,13 @@ from qetchain import (
     post_measurement_covariance,
     reduce,
     resolve_alpha,
+    run_setting1,
     sweep_setting1,
     sweep_setting2,
     sweep_size,
 )
-from qetchain.experiment import format_value, render_csv
+from qetchain.experiment import SweepTable, format_value, render_csv
+from qetchain.gaussian_state import _entropy_terms
 
 A4 = ALPHA_PRESETS["a4"]
 
@@ -173,6 +176,68 @@ class TestSetting1Sweep:
             assert row[0] == ref[0]
             for column, got, want in zip(table.columns[1:], row[1:], ref[1:]):
                 assert _cells_close(column, got, want), (row[0], column, got, want)
+
+
+def _setting1_row_scalar(params: ChainParams, d: int) -> tuple:
+    # Slow per-row reference: the scalar closed form that served each
+    # setting-1 row before the sweep became one column evaluation.
+    g, h = correlation_vectors(params.n_sites, params.alpha)
+    g_0, h_0, g_r, h_r = (float(v) for v in (g[0], h[0], g[d + 1], h[d + 1]))
+    nu_transposed = (math.sqrt((g_0 + g_r) * (h_0 - h_r)), math.sqrt((g_0 - g_r) * (h_0 + h_r)))
+    e_n_before = sum(max(0.0, -math.log2(2.0 * nu)) for nu in nu_transposed)
+    s_0, s_plus, s_minus = _entropy_terms(np.array([
+        math.sqrt(g_0 * h_0), math.sqrt((g_0 + g_r) * (h_0 + h_r)), math.sqrt((g_0 - g_r) * (h_0 - h_r))]))
+    t_p, t_q = h_0 + params.omega / 2.0, g_0 + 1.0 / (2.0 * params.omega)
+    s_m_before = float(2.0 * s_0 - (s_plus + s_minus))
+    energy = -0.5 * (h_r * h_r / t_p + h_r * h_r / t_q)
+    return (d, energy, e_n_before, 0.0, e_n_before, s_m_before, 0.0, s_m_before - 0.0)
+
+
+SETTING1_GRID = [(n, alpha, omega) for n in (10, 20, 100, 400, 4096)
+                 for alpha in (0.0, 0.3, *(ALPHA_PRESETS[p] for p in ("a1", "a2", "a3", "a4")))
+                 for omega in (0.5, 1.0, 2.0)]
+
+
+def _setting1_checked_rows(n: int) -> list[int]:
+    # d = 0..40, plus d = N - 2, whose target's neighbour lies across the wrap.
+    return sorted(set(range(min(40, n - 2) + 1)) | {n - 2})
+
+
+class TestSetting1Columns:
+    @pytest.mark.parametrize("n, alpha, omega", SETTING1_GRID)
+    def test_sweep_csv_matches_scalar_rows_byte_for_byte(self, n, alpha, omega):
+        table = sweep_setting1(RunConfig(mode="setting1", n_sites=n, alpha=alpha, omega=omega, d_max=n - 2))
+        checked = _setting1_checked_rows(n)
+        params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
+        want = SweepTable(columns=table.columns, rows=tuple(_setting1_row_scalar(params, d) for d in checked))
+        got = SweepTable(columns=table.columns, rows=tuple(table.rows[d] for d in checked))
+        assert render_csv(got) == render_csv(want)
+
+    @pytest.mark.parametrize("n, alpha, omega", SETTING1_GRID)
+    def test_run_setting1_is_the_sweep_row(self, n, alpha, omega):
+        params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
+        table = sweep_setting1(RunConfig(mode="setting1", n_sites=n, alpha=alpha, omega=omega, d_max=n - 2))
+        for d in _setting1_checked_rows(n):
+            rep = run_setting1(params, d)
+            got = (rep.optimized_energy, rep.e_n_before, rep.e_n_after, rep.delta_log_negativity,
+                   rep.s_m_before, rep.s_m_after, rep.delta_mutual_information)
+            assert got == pytest.approx(table.rows[d][1:], rel=1e-15, abs=0.0), d
+
+    def test_sweep_looks_up_the_correlators_once(self, monkeypatch):
+        import qetchain.experiment as experiment
+        import qetchain.qet_protocol as qet_protocol
+
+        calls = []
+
+        def counted(n_sites, alpha):
+            calls.append((n_sites, alpha))
+            return correlation_vectors(n_sites, alpha)
+
+        monkeypatch.setattr(qet_protocol, "correlation_vectors", counted)
+        monkeypatch.setattr(experiment, "correlation_vectors", counted)
+        table = sweep_setting1(RunConfig(mode="setting1", n_sites=100, alpha=0.9, d_max=40))
+        assert len(table.rows) == 41
+        assert calls == [(100, 0.9)]
 
 
 # 50-digit values from scripts/high_precision_delta_e_n.py.
