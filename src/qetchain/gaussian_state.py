@@ -58,10 +58,7 @@ class CovarianceMatrix:
         p = np.asarray(p, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or p.shape != q.shape:
             raise ValueError(f"q and p blocks must be square of equal size, got {q.shape} and {p.shape}")
-        for block in (q, p):
-            if np.abs(block - block.T).max() > SYMMETRY_TOL:
-                raise ValueError("covariance matrix is not symmetric within 1e-12")
-        q, p = (q + q.T) / 2, (p + p.T) / 2
+        q, p = _symmetrized(q), _symmetrized(p)
         q.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -79,6 +76,14 @@ class CovarianceMatrix:
         m[1::2, 1::2] = self.p
         m.flags.writeable = False
         return m
+
+
+def _symmetrized(block: np.ndarray) -> np.ndarray:
+    """(B + B^T) / 2 of a block or a (..., n, n) stack of blocks, each symmetric within 1e-12."""
+    block_t = np.swapaxes(block, -1, -2)
+    if np.abs(block - block_t).max() > SYMMETRY_TOL:
+        raise ValueError("covariance matrix is not symmetric within 1e-12")
+    return (block + block_t) / 2
 
 
 def _mode_indices(sites, n_modes: int) -> list[int]:

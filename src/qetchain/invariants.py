@@ -11,11 +11,11 @@ from itertools import product
 import numpy as np
 
 from .chain_model import ChainParams, correlation_vectors, ground_covariance
-from .gaussian_state import CovarianceMatrix, log_negativity, reduce, symplectic_eigenvalues
-from .oracle import FockState, fock_log_negativity, general_dyne_update, monte_carlo_energy
+from .gaussian_state import CovarianceMatrix, _symmetrized, log_negativity, reduce, symplectic_eigenvalues
+from .oracle import FockState, _condition_sectors, fock_log_negativity, monte_carlo_energy
 from .oracle import two_mode_ground_covariance
-from .povm_measurement import MeasurementSpec, build_m_matrix, post_measurement_covariance, quarter_inverse
-from .povm_measurement import unmeasured_sites
+from .povm_measurement import MeasurementSpec, _schur_complement, post_measurement_covariance
+from .povm_measurement import quarter_inverse, unmeasured_sites
 from .qet_protocol import DisplacementPlan, build_quadratics, optimal_plan, optimized_energy
 
 
@@ -54,16 +54,26 @@ def general_dyne_deviation(sizes, alphas, omegas, groups) -> float:
     """Largest entry difference between general-dyne conditioning and the Schur construction.
 
     The Schur side is the unmeasured block (M^{-1}/4, M) straight from M.
+    Each (N, group) is one stacked evaluation over every (alpha, omega):
+    every point's parameters are checked as a lone call checks them, and
+    each matrix meets the LAPACK calls a lone call makes, so the deviation
+    is the per-point loop's to the bit.
     """
     dev = 0.0
-    for n, alpha in product(sizes, alphas):
-        ground = ground_covariance(ChainParams(n_sites=n, alpha=alpha))  # independent of omega
-        for omega, measured in product(omegas, groups):
-            params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
-            spec = MeasurementSpec(measured_sites=measured, omega=omega)
-            m = build_m_matrix(params, spec)
-            got = general_dyne_update(ground, measured, omega).conditional_covariance
-            dev = max(dev, float(np.abs(got.q - quarter_inverse(m)).max()), float(np.abs(got.p - m).max()))
+    for n in sizes:
+        ground = {alpha: ground_covariance(ChainParams(n_sites=n, alpha=alpha)) for alpha in alphas}
+        for measured in groups:
+            points = [(ChainParams(n_sites=n, alpha=alpha, omega=omega),
+                       MeasurementSpec(measured_sites=measured, omega=omega)) for alpha, omega in product(alphas, omegas)]
+            rest = {unmeasured_sites(*point) for point in points}.pop()  # one N and one group: one complement
+            sites = list(measured) + list(rest)
+            q = np.stack([ground[params.alpha].q for params, _ in points])
+            p = np.stack([ground[params.alpha].p for params, _ in points])
+            omega = np.array([spec.omega for _, spec in points])
+            m = _schur_complement(p[:, sites][:, :, sites], len(measured), omega)  # [[L, K], [K^T, H_u]] per point
+            cond_q, cond_p, _, _ = _condition_sectors(q, p, measured, omega)
+            dev = max(dev, float(np.abs(_symmetrized(cond_q) - quarter_inverse(m)).max()),
+                      float(np.abs(_symmetrized(cond_p) - m).max()))
     return dev
 
 

@@ -11,11 +11,15 @@ is checking:
   conditioning runs sector by sector, positions on X and momenta on P:
   the state and the detector noise have no q-p cross-covariance, so the
   joint 2n x 2n update is block-diagonal and equals the two sector
-  updates exactly;
+  updates exactly.  The sector update also runs on stacks of blocks, so
+  a grid of (alpha, omega) points of one size and group is conditioned
+  in one call, each matrix with the LAPACK calls a lone point gets;
 * a truncated two-oscillator number-basis diagonalization whose exact
-  state cross-checks the Gaussian negativity and correlators.  It solves
-  only the block of even n0 + n1, where the ground state lies, and reads
-  the negativity of that pure state from its Schmidt coefficients.
+  state cross-checks the Gaussian negativity and correlators.  The ground
+  state has even n0 + n1 and is symmetric under n0 <-> n1, so only the
+  block of such states is solved (169 states at cutoff 25, not the 313 of
+  even n0 + n1); the negativity of that pure state is read from its
+  Schmidt coefficients.
 """
 
 from __future__ import annotations
@@ -68,21 +72,34 @@ def general_dyne_update(V: CovarianceMatrix, measured, omega: float) -> GeneralD
     independent ones: Q conditioned on X with noise 1/(2 omega), and P on
     P with noise omega/2.  Each sector is solved on its own.
     """
-    meas = _mode_indices(measured, V.n_modes)
+    cond_q, cond_p, gain_x, gain_p = _condition_sectors(V.q, V.p, measured, omega)
+    return GeneralDyneUpdate(CovarianceMatrix(cond_q, cond_p), gain_x, gain_p)
+
+
+def _condition_sectors(q: np.ndarray, p: np.ndarray, measured, omega):
+    """The two sector updates on (..., n, n) stacks of q and p blocks.
+
+    omega broadcasts over the stack, so one call conditions many grid
+    points; each matrix meets the same LAPACK calls that a lone one would.
+    Returns (conditional q, conditional p, gain_x, gain_p), the conditional
+    blocks not yet symmetrized.
+    """
+    meas = _mode_indices(measured, q.shape[-1])
     if not meas:
         raise ValueError("measured subset must be non-empty")
     measured_set = set(meas)
-    rest = [s for s in range(V.n_modes) if s not in measured_set]
+    rest = [s for s in range(q.shape[-1]) if s not in measured_set]
     if not rest:
         raise ValueError("measured subset must be a proper subset of the modes")
     ia, ib = np.array(meas)[:, None], np.array(rest)[:, None]  # column index vectors
+    omega = np.asarray(omega, dtype=float)[..., None, None]
     blocks, gains = [], []
-    for block, noise in ((V.q, 1.0 / (2.0 * omega)), (V.p, omega / 2.0)):
-        v_ba = block[ib, ia.T]
-        gain = np.linalg.solve(block[ia, ia.T] + noise * np.eye(len(meas)), v_ba.T).T
-        blocks.append(block[ib, ib.T] - gain @ v_ba.T)
+    for block, noise in ((q, 1.0 / (2.0 * omega)), (p, omega / 2.0)):
+        v_ab = np.swapaxes(block[..., ib, ia.T], -1, -2)
+        gain = np.swapaxes(np.linalg.solve(block[..., ia, ia.T] + noise * np.eye(len(meas)), v_ab), -1, -2)
+        blocks.append(block[..., ib, ib.T] - gain @ v_ab)
         gains.append(gain)
-    return GeneralDyneUpdate(CovarianceMatrix(*blocks), *gains)
+    return (*blocks, *gains)
 
 
 def monte_carlo_energy(
@@ -179,28 +196,30 @@ def _position_operator(cutoff: int) -> np.ndarray:
     return (a + a.T) / np.sqrt(2.0)
 
 
-def _number_basis(cutoff: int) -> np.ndarray:
-    """All (n0, n1) pairs below the cutoff, rows in the order of amplitudes.reshape(-1)."""
-    return np.indices((cutoff, cutoff)).reshape(2, -1).T
-
-
-def _two_mode_hamiltonian(alpha: float, cutoff: int, basis: np.ndarray) -> np.ndarray:
-    """Matrix of the coupled-pair Hamiltonian between the (n0, n1) states listed in basis.
+def _symmetric_hamiltonian(alpha: float, cutoff: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of the coupled-pair Hamiltonian between the states s_ab listed by (a, b).
 
     Two sites on a ring of two: both bonds join the same pair, so the
-    coupling is -alpha q0 q1 in total, and the entries are
-    (n0 + n1 + 1) delta - alpha q[n0, n0'] q[n1, n1'].
+    coupling is -alpha q0 q1 in total.  With c_ab = 1/sqrt(2), or 1/2 when
+    a = b, the entries are
+
+        (a + b + 1) delta - 2 alpha c_ab c_cd (q[a, c] q[b, d] + q[a, d] q[b, c]).
     """
     q = _position_operator(cutoff)
-    n0, n1 = basis[:, 0], basis[:, 1]
-    return np.diag(n0 + n1 + 1.0) - alpha * (q[np.ix_(n0, n0)] * q[np.ix_(n1, n1)])
+    qa, qb = q[:, a], q[:, b]  # row gathers of these are q[a, c], q[b, d], q[a, d] and q[b, c]
+    c = np.where(a == b, 0.5, np.sqrt(0.5))
+    coupling = 2.0 * np.outer(c, c) * (qa[a] * qb[b] + qb[a] * qa[b])
+    return np.diag(a + b + 1.0) - alpha * coupling
 
 
 def fock_ground_state(alpha: float, cutoff: int = 25) -> FockState:
     """Exact ground state of two coupled oscillators in a truncated number basis.
 
-    The coupling changes n0 + n1 by 0 or +-2, and the ground state lies in
-    the block of even n0 + n1, so only that block is diagonalized.
+    The coupling changes n0 + n1 by 0 or +-2 and commutes with the exchange
+    n0 <-> n1, and the ground state is even under both, so only the block of
+    exchange-symmetric states with even n0 + n1 is diagonalized: 169 states
+    at cutoff 25, against 313 in the even block and 625 in all.  The
+    amplitude matrix is symmetric exactly.
 
     Raises NumericsError when the truncation is too tight, i.e. when the
     top number level of either mode holds more than 1e-6 population.
@@ -209,24 +228,26 @@ def fock_ground_state(alpha: float, cutoff: int = 25) -> FockState:
         raise ValueError(f"cutoff must be >= 10, got {cutoff}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    basis = _number_basis(cutoff)
-    basis = basis[basis.sum(axis=1) % 2 == 0]
-    _, vec = eigh(_two_mode_hamiltonian(alpha, cutoff, basis), subset_by_index=[0, 0])
-    psi = vec[:, 0]
-    psi = psi * np.sign(psi[np.argmax(np.abs(psi))])
+    a, b = np.triu_indices(cutoff)
+    even = (a + b) % 2 == 0
+    a, b = a[even], b[even]  # the states s_ab = c_ab (|ab> + |ba>) with a <= b and a + b even
+    _, vec = eigh(_symmetric_hamiltonian(alpha, cutoff, a, b), subset_by_index=[0, 0])
     amp = np.zeros((cutoff, cutoff))
-    amp[basis[:, 0], basis[:, 1]] = psi
-    top = max(np.sum(amp[-1, :] ** 2), np.sum(amp[:, -1] ** 2))
+    amp[a, b] = amp[b, a] = vec[:, 0] * np.where(a == b, 1.0, np.sqrt(0.5))  # <ab|s_ab> = <ba|s_ab>
+    amp *= np.sign(amp.flat[np.argmax(np.abs(amp))])
+    top = np.sum(amp[-1] ** 2)  # the same for both modes, since amp is symmetric
     if top > TOP_LEVEL_POPULATION_TOL:
         raise NumericsError(f"top-level population {top:.3e} exceeds 1e-6; raise the cutoff")
     return FockState(cutoff=cutoff, amplitudes=amp)
 
 
 def fock_energy(state: FockState, alpha: float) -> float:
-    """Variational energy of a two-mode state under the coupled-pair Hamiltonian."""
-    h = _two_mode_hamiltonian(alpha, state.cutoff, _number_basis(state.cutoff))
-    psi = state.amplitudes.reshape(-1)
-    return float(np.real(np.conj(psi) @ h @ psi))
+    """Variational energy of a two-mode state under the coupled-pair Hamiltonian.
+
+    <n0 + n1 + 1> from the level populations, minus alpha <q0 q1>.
+    """
+    levels = np.add.outer(np.arange(state.cutoff), np.arange(state.cutoff)) + 1.0
+    return float(np.sum(levels * np.abs(state.amplitudes) ** 2)) - alpha * fock_position_correlator(state)
 
 
 def fock_position_correlator(state: FockState) -> float:

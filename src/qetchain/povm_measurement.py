@@ -73,21 +73,32 @@ def build_m_matrix(params: ChainParams, spec: MeasurementSpec) -> np.ndarray:
     a = len(spec.measured_sites)
     sites = list(spec.measured_sites) + list(unmeasured_sites(params, spec))
     _, h = correlation_submatrices(params, sites, sites)  # [[L, K], [K^T, H_u]]
-    chol = np.linalg.cholesky(h[:a, :a] + (spec.omega / 2.0) * np.eye(a))
-    y = np.linalg.solve(chol, h[:a, a:])
-    m = h[a:, a:] - y.T @ y
-    return (m + m.T) / 2
+    return _schur_complement(h, a, spec.omega)
+
+
+def _schur_complement(h: np.ndarray, a: int, omega) -> np.ndarray:
+    """M for a (..., n, n) stack of momentum blocks whose first a sites are measured.
+
+    omega broadcasts over the stack, so one call conditions many grid
+    points; each matrix meets the same LAPACK calls that a lone one would.
+    """
+    noise = (np.asarray(omega, dtype=float) / 2.0)[..., None, None] * np.eye(a)
+    chol = np.linalg.cholesky(h[..., :a, :a] + noise)
+    y = np.linalg.solve(chol, h[..., :a, a:])
+    m = h[..., a:, a:] - np.swapaxes(y, -1, -2) @ y
+    return (m + np.swapaxes(m, -1, -2)) / 2
 
 
 def quarter_inverse(m: np.ndarray) -> np.ndarray:
     """(1/4) M^{-1}, symmetrized: the unmeasured sites' position block.
 
     M^{-1} = C^{-T} C^{-1} from the Cholesky factor C of M, which raises
-    LinAlgError if M is not positive definite.
+    LinAlgError if M is not positive definite.  M may be a (..., n, n)
+    stack, inverted matrix by matrix.
     """
     c_inv = np.linalg.inv(np.linalg.cholesky(m))
-    m_inv = c_inv.T @ c_inv
-    return (m_inv + m_inv.T) / 2 / 4.0
+    m_inv = np.swapaxes(c_inv, -1, -2) @ c_inv
+    return (m_inv + np.swapaxes(m_inv, -1, -2)) / 2 / 4.0
 
 
 def post_measurement_covariance(params: ChainParams, spec: MeasurementSpec) -> CovarianceMatrix:
@@ -132,6 +143,7 @@ def sample_outcomes(dist: OutcomeDistribution, seed: int, count: int) -> tuple[n
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     m = dist.x_covariance.shape[0]
-    xs = rng.standard_normal((count, m)) @ np.linalg.cholesky(dist.x_covariance).T
-    ps = rng.standard_normal((count, m)) @ np.linalg.cholesky(dist.p_covariance).T
+    # np.dot, not @: for one measured site matmul takes a slow (count, 1) x (1, 1) loop.
+    xs = np.dot(rng.standard_normal((count, m)), np.linalg.cholesky(dist.x_covariance).T)
+    ps = np.dot(rng.standard_normal((count, m)), np.linalg.cholesky(dist.p_covariance).T)
     return xs, ps

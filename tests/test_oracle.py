@@ -27,6 +27,7 @@ from qetchain import (
 )
 from qetchain import oracle
 from qetchain.experiment import ALPHA_PRESETS
+from qetchain.gaussian_state import _symmetrized
 from qetchain.invariants import general_dyne_deviation
 from qetchain.oracle import (
     FockState,
@@ -38,7 +39,7 @@ from qetchain.oracle import (
     monte_carlo_energy,
     two_mode_ground_covariance,
 )
-from qetchain.povm_measurement import build_m_matrix, quarter_inverse
+from qetchain.povm_measurement import _schur_complement, build_m_matrix, quarter_inverse
 
 
 # Every (alpha, cutoff) at which the tests, validate and the acceptance criteria solve the pair.
@@ -213,6 +214,71 @@ class TestGeneralDyneUpdate:
         assert worst < 1e-12
 
 
+class TestStackedKernels:
+    """The stacked kernels against a loop over the public per-point functions, bit for bit."""
+
+    @staticmethod
+    def stacks():
+        """SECTOR_GRID's points grouped by (N, group); the N = 100, a4 three-site stack gains two omegas."""
+        grid = TestGeneralDyneUpdate.SECTOR_GRID + [(100, ALPHA_PRESETS["a4"], omega, (0, 1, 2)) for omega in (0.5, 2.0)]
+        by_stack = {}
+        for n, alpha, omega, measured in grid:
+            by_stack.setdefault((n, measured), []).append((ChainParams(n_sites=n, alpha=alpha, omega=omega),
+                                                           MeasurementSpec(measured_sites=measured, omega=omega)))
+        return list(by_stack.values())
+
+    def test_general_dyne_stack_equals_loop(self):
+        for points in self.stacks():
+            measured = points[0][1].measured_sites
+            grounds = [ground_covariance(params) for params, _ in points]
+            cond_q, cond_p, gain_x, gain_p = oracle._condition_sectors(
+                np.stack([v.q for v in grounds]), np.stack([v.p for v in grounds]), measured,
+                np.array([spec.omega for _, spec in points]))
+            for i, (v, (_, spec)) in enumerate(zip(grounds, points)):
+                upd = general_dyne_update(v, measured, spec.omega)
+                np.testing.assert_array_equal(_symmetrized(cond_q[i]), upd.conditional_covariance.q)
+                np.testing.assert_array_equal(_symmetrized(cond_p[i]), upd.conditional_covariance.p)
+                np.testing.assert_array_equal(gain_x[i], upd.gain_x)
+                np.testing.assert_array_equal(gain_p[i], upd.gain_p)
+
+    def test_schur_stack_equals_loop(self):
+        for points in self.stacks():
+            measured = points[0][1].measured_sites
+            sites = list(measured) + list(unmeasured_sites(*points[0]))
+            h = np.stack([ground_covariance(params).p[np.ix_(sites, sites)] for params, _ in points])
+            m = _schur_complement(h, len(measured), np.array([spec.omega for _, spec in points]))
+            quarter = quarter_inverse(m)
+            for i, point in enumerate(points):
+                np.testing.assert_array_equal(m[i], build_m_matrix(*point))
+                np.testing.assert_array_equal(quarter[i], quarter_inverse(build_m_matrix(*point)))
+
+    def test_one_unphysical_item_fails_the_stack(self):
+        params = ChainParams(n_sites=6, alpha=0.9)
+        h = np.stack([ground_covariance(params).p] * 3)
+        h[1, 0, 0] = -1.0  # L + (omega/2) I is not positive definite for this item alone
+        with pytest.raises(np.linalg.LinAlgError):
+            _schur_complement(h, 1, np.ones(3))
+        m = np.stack([np.eye(3), -np.eye(3)])
+        with pytest.raises(np.linalg.LinAlgError):
+            quarter_inverse(m)
+
+    def test_one_asymmetric_item_fails_the_stack(self):
+        blocks = np.stack([np.eye(3)] * 2)
+        blocks[1, 0, 2] = 1e-6
+        with pytest.raises(ValueError, match="not symmetric within 1e-12"):
+            _symmetrized(blocks)
+
+    GRID = ((4, 6), (0.0, 0.9), (0.5, 1.0), ((0,), (0, 2)))
+
+    @pytest.mark.parametrize("axis, value", [(0, (4, 5)), (1, (0.5, 1.0)), (2, (0.5, 0.0)), (2, (-1.0,)),
+                                             (3, ((0, 0),)), (3, ((0,), (6,))), (3, ((-1,),)), (3, ((0, 1, 2, 3),))])
+    def test_deviation_rejects_bad_grid_points(self, axis, value):
+        grid = list(self.GRID)
+        grid[axis] = value
+        with pytest.raises(ValueError):
+            general_dyne_deviation(*grid)
+
+
 class TestMonteCarloEnergy:
     def test_zero_plan_on_decoupled_chain(self):
         params = ChainParams(n_sites=8, alpha=0.0)
@@ -340,10 +406,11 @@ class TestFockGroundState:
         assert energies[-1] == pytest.approx(exact, abs=1e-9)
 
     @pytest.mark.parametrize("alpha,cutoff", GROUND_STATE_PAIRS)
-    def test_even_block_matches_full_basis(self, alpha, cutoff):
+    def test_symmetric_block_matches_full_basis(self, alpha, cutoff):
         got = fock_ground_state(alpha, cutoff=cutoff).amplitudes
         np.testing.assert_allclose(got, full_basis_ground_state(alpha, cutoff), rtol=0, atol=1e-12)
-        # odd n0 + n1 amplitudes are exactly zero
+        # exchange-symmetric exactly, and odd n0 + n1 amplitudes are exactly zero
+        np.testing.assert_array_equal(got, got.T)
         assert np.all(got[np.add.outer(np.arange(cutoff), np.arange(cutoff)) % 2 == 1] == 0.0)
 
     @pytest.mark.parametrize("alpha,cutoff", GROUND_STATE_PAIRS)

@@ -149,6 +149,18 @@ class TestSampleOutcomes:
             assert np.all(np.abs(data.mean(axis=0)) < 4 * se)
         assert np.cov(xs.T) == pytest.approx(X_COV_FROZEN, rel=0.05)
 
+    @pytest.mark.parametrize("measured", [(0,), (0, 1, 2)])
+    def test_draw_equals_matmul_form_bitwise(self, measured):
+        # validate's Monte Carlo draw (N = 100, alpha = 0.9, seed 1) and a three-site group
+        # against the matmul form standard_normal @ cholesky.T, bit for bit.
+        dist = outcome_distribution(ChainParams(n_sites=100, alpha=0.9), MeasurementSpec(measured_sites=measured))
+        rng = np.random.default_rng(1)
+        xs_ref = rng.standard_normal((200_000, len(measured))) @ np.linalg.cholesky(dist.x_covariance).T
+        ps_ref = rng.standard_normal((200_000, len(measured))) @ np.linalg.cholesky(dist.p_covariance).T
+        xs, ps = sample_outcomes(dist, seed=1, count=200_000)
+        np.testing.assert_array_equal(xs, xs_ref)
+        np.testing.assert_array_equal(ps, ps_ref)
+
     def test_decoupled_sample_covariance(self):
         params = ChainParams(n_sites=4, alpha=0.0)
         dist = outcome_distribution(params, MeasurementSpec(measured_sites=(0, 1)))
