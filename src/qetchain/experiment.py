@@ -3,15 +3,15 @@
 Three sweep modes mirror the standard numerical settings: a separation
 sweep with single-site groups (setting1), a measured-block-size sweep
 against the antipodal target (setting2), and a system-size sweep at the
-maximal block ell = N/2 - 2 (size-sweep).  Rows are pure functions of the
-configuration, and floats are serialized with 12 significant digits so that
-repeated runs produce byte-identical files.  Setting-1 rows are zipped
-from numpy columns that one setting1_columns call evaluates for every
-separation at once.  Setting-2 rows all come from one sequential bordered
-recursion over ell.  Size-sweep rows are closed forms in the memoised
-correlator vectors (see qet_protocol), so they share nothing but those
-read-only arrays and run optionally in a thread pool, always merged in grid
-order; threads affects the size sweep only.
+maximal block ell = N/2 - 2 (size-sweep).  A sweep returns numpy columns,
+pure functions of the configuration, and floats are serialized with 12
+significant digits so that repeated runs produce byte-identical files.
+One setting1_columns call evaluates every separation of setting 1.
+Setting 2 collects the forms of one sequential bordered recursion over ell
+and evaluates setting2_terms once on them.  Size-sweep rows are closed
+forms in the memoised correlator vectors (see qet_protocol), so they share
+nothing but those read-only arrays and run optionally in a thread pool,
+always merged in grid order; threads affects the size sweep only.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -86,16 +85,20 @@ class RunConfig:
         return ChainParams(n_sites=n_sites or self.n_sites, alpha=self.alpha, omega=self.omega)
 
 
-@dataclass(frozen=True)
 class SweepTable:
-    """Column names plus rows in grid order; the CSV payload."""
+    """Named read-only numpy columns in grid order, integer for the grid and float otherwise; the CSV payload."""
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    def __init__(self, columns: Mapping[str, np.ndarray]):
+        self.columns = tuple(columns)
+        self._data = {name: np.asarray(values).view() for name, values in columns.items()}
+        for column in self._data.values():
+            column.flags.writeable = False
+        shapes = {column.shape for column in self._data.values()}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError("a table needs one-dimensional columns of equal length")
 
     def column(self, name: str) -> np.ndarray:
-        idx = self.columns.index(name)
-        return np.array([row[idx] for row in self.rows])
+        return self._data[name]
 
 
 @dataclass(frozen=True)
@@ -109,22 +112,20 @@ class PowerLawFit:
     window: tuple[float, float]
 
 
-def _labelled(grid: str, item, fn: Callable, *args):
-    """fn(*args); a numerical failure is re-raised naming its grid point."""
-    try:
-        return fn(*args)
-    except (NumericsError, np.linalg.LinAlgError) as exc:
-        raise type(exc)(f"{grid}={item}: {exc}") from exc
-
-
 def _map_ordered(fn: Callable, items: Iterable, threads: int, grid: str) -> list:
     """fn over items in grid order; a numerical failure is re-raised naming its grid point."""
+    def labelled(item):
+        try:
+            return fn(item)
+        except (NumericsError, np.linalg.LinAlgError) as exc:
+            raise type(exc)(f"{grid}={item}: {exc}") from exc
+
     items = list(items)
     if threads == 1 or len(items) <= 1:
-        return [_labelled(grid, item, fn, item) for item in items]
+        return [labelled(item) for item in items]
     workers = threads if threads > 0 else min(len(items), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda item: _labelled(grid, item, fn, item), items))
+        return list(pool.map(labelled, items))
 
 
 def sweep_setting1(config: RunConfig) -> SweepTable:
@@ -133,47 +134,27 @@ def sweep_setting1(config: RunConfig) -> SweepTable:
     E_N and S_M after the measurement are exactly 0 (see qet_protocol), so
     each drop equals its before value.  threads has no effect here.
     """
-    params = config.params()
-    if config.d_max + 1 >= params.n_sites:
-        raise ValueError(f"d-max {config.d_max} does not fit on a ring of {params.n_sites} sites")
-    energy, _, _, e_n, s_m = (column.tolist() for column in setting1_columns(params, config.d_max))
-    return SweepTable(
-        columns=("d", "E_B_opt", "E_N_before", "E_N_after", "delta_E_N",
-                 "S_M_before", "S_M_after", "delta_S_M"),
-        rows=tuple(zip(range(config.d_max + 1), energy, e_n, repeat(0.0), e_n, s_m, repeat(0.0), s_m)),
-    )
+    energy, _, _, e_n, s_m = setting1_columns(config.params(), config.d_max)
+    zero = np.zeros_like(energy)
+    return SweepTable({"d": np.arange(config.d_max + 1), "E_B_opt": energy, "E_N_before": e_n,
+                       "E_N_after": zero, "delta_E_N": e_n, "S_M_before": s_m, "S_M_after": zero,
+                       "delta_S_M": s_m})
 
 
-def _ratio_row(x, energy: float, delta: float) -> tuple:
-    """(x, delta_E_N, |E_B|, |E_B| / delta_E_N) of a setting-2 block.
-
-    The ratio is NaN where delta_E_N is exactly 0, as on a decoupled chain.
-    """
-    e_abs = abs(energy)
-    return (x, delta, e_abs, e_abs / delta if delta else float("nan"))
-
-
-def _block_row(x, params: ChainParams, ell: int) -> tuple:
-    """The setting-2 row of half-width ell from one run_setting2 call."""
-    rep = run_setting2(params, ell)
-    return _ratio_row(x, rep.optimized_energy, rep.delta_log_negativity)
-
-
-def _recursion_row(ell: int, forms: Iterator, before: tuple[float, float, float]) -> tuple:
-    """The setting-2 row of half-width ell from the next step of the bordered recursion.
-
-    before holds (g_0, h_0, x^2 - 1), which do not depend on ell.
-    """
-    energy, _, delta = setting2_terms(*before, *next(forms))
-    return _ratio_row(ell, energy, delta)
+def _block_table(grid: str, x: np.ndarray, energy: np.ndarray, delta: np.ndarray, ratio: str) -> SweepTable:
+    """(x, delta_E_N, |E_B|, |E_B| / delta_E_N) of setting-2 blocks; the ratio is NaN where delta_E_N == 0."""
+    e_abs = np.abs(energy)
+    quotient = np.divide(e_abs, delta, out=np.full_like(e_abs, np.nan), where=delta != 0.0)
+    return SweepTable({grid: x, "delta_E_N": delta, "E_B_abs": e_abs, ratio: quotient})
 
 
 def sweep_setting2(config: RunConfig) -> SweepTable:
     """One row per measured-block half-width ell, all from one bordered recursion.
 
     The recursion runs from ell = 1 whatever ell_min is, so a sub-range is
-    the matching slice of the full sweep.  It is sequential: threads has
-    no effect here.
+    the matching slice of the full sweep, and a failure names the first
+    failing ell of the whole range.  It is sequential: threads has no
+    effect here.
     """
     params = config.params()
     top = params.n_sites // 2 - 2
@@ -184,9 +165,15 @@ def sweep_setting2(config: RunConfig) -> SweepTable:
 
     g, h = correlation_vectors(params.n_sites, params.alpha)
     before = (float(g[0]), float(h[0]), target_x2m1(g, h))
-    forms = setting2_forms(params, hi)
-    rows = [_labelled("ell", ell, _recursion_row, ell, forms, before) for ell in range(1, hi + 1)]
-    return SweepTable(columns=("ell", "delta_E_N", "E_B_abs", "ratio"), rows=tuple(rows[lo - 1:]))
+    forms = []
+    try:
+        for form in setting2_forms(params, hi):
+            forms.append(form)
+    except (NumericsError, np.linalg.LinAlgError) as exc:
+        setting2_terms(*before, *np.reshape(forms, (-1, 3)).T)  # a row before the stop fails first
+        raise type(exc)(f"ell={len(forms) + 1}: {exc}") from exc
+    energy, _, delta = setting2_terms(*before, *np.array(forms).T)
+    return _block_table("ell", np.arange(lo, hi + 1), energy[lo - 1:], delta[lo - 1:], "ratio")
 
 
 def sweep_size(config: RunConfig) -> SweepTable:
@@ -195,24 +182,26 @@ def sweep_size(config: RunConfig) -> SweepTable:
         if n < 6 or n % 2 != 0:
             raise ValueError(f"size sweep needs even N >= 6, got {n}")
 
-    rows = _map_ordered(lambda n: _block_row(n, config.params(n_sites=n), n // 2 - 2),
-                        config.n_list, config.threads, "N")
-    return SweepTable(columns=("N", "delta_E_N", "E_B_abs", "beta"), rows=tuple(rows))
+    def block(n: int) -> tuple[float, float]:
+        rep = run_setting2(config.params(n_sites=n), n // 2 - 2)
+        return rep.optimized_energy, rep.delta_log_negativity
+
+    energy, delta = np.array(_map_ordered(block, config.n_list, config.threads, "N")).T
+    return _block_table("N", np.array(config.n_list), energy, delta, "beta")
 
 
-def fit_power_law(points: Sequence[tuple[float, float]], with_offset: bool = False) -> PowerLawFit:
-    """Least-squares power law on log-log axes.
+def fit_power_law(points, with_offset: bool = False) -> PowerLawFit:
+    """Least-squares power law on log-log axes, through (n, 2) array-like (x, y) points.
 
     Without offset: straight line through (ln x, ln y).  With offset: the
     tail (last 10% of points by x, at least one) estimates the additive
     floor as its mean y; the remaining points are fit after subtracting it.
     Raises ValueError when any residual to be logged is non-positive.
     """
-    pts = sorted((float(x), float(y)) for x, y in points)
+    pts = np.asarray(points, dtype=float).reshape(len(points), 2)  # ValueError unless (x, y) pairs
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
-    x = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
+    x, y = pts[np.argsort(pts[:, 0])].T
     if np.any(x <= 0):
         raise ValueError("abscissae must be positive")
     window = (float(x[0]), float(x[-1]))
@@ -263,7 +252,7 @@ def summary_fits(config: RunConfig, table: SweepTable) -> list[tuple[str, PowerL
     out: list[tuple[str, PowerLawFit | str]] = []
     for name, y, with_offset in specs:
         try:
-            out.append((name, fit_power_law(list(zip(x[keep], y[keep])), with_offset)))
+            out.append((name, fit_power_law(np.column_stack([x[keep], y[keep]]), with_offset)))
         except ValueError as exc:
             out.append((name, f"aborted: {exc}"))
     return out
@@ -273,16 +262,18 @@ def format_value(value) -> str:
     """Serialize one CSV cell: integers verbatim, floats at 12 significant digits."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    number = float(value)
-    if number == 0.0:
-        number = 0.0  # never emit "-0"
-    return format(number, ".12g")
+    return format(float(value) + 0.0, ".12g")  # + 0.0 turns -0.0 into 0 and keeps every other value
 
 
 def render_csv(table: SweepTable) -> str:
-    lines = [",".join(table.columns)]
-    lines.extend(",".join(format_value(v) for v in row) for row in table.rows)
-    return "\n".join(lines) + "\n"
+    """Header plus one line per row, with format_value's rules applied by one format string a row."""
+    columns = [table.column(name) for name in table.columns]
+    integer = [column.dtype.kind in "iu" for column in columns]
+    row_format = ",".join("%d" if is_int else "%.12g" for is_int in integer) + "\n"
+    cells = [column if is_int else column + 0.0 for column, is_int in zip(columns, integer)]
+    lines = [",".join(table.columns) + "\n"]
+    lines.extend(row_format % row for row in zip(*cells))
+    return "".join(lines)
 
 
 def write_csv(table: SweepTable, path: str) -> None:

@@ -206,25 +206,30 @@ def target_x2m1(g: np.ndarray, h: np.ndarray) -> float:
     return max(-4.0 * float(g[1:] @ h[1:]), 0.0)
 
 
-def setting2_terms(g_0: float, h_0: float, x2m1: float, dp: float, dq: float,
-                   jq: float) -> tuple[float, float, float]:
-    """(E_opt, y^2 - 1, delta E_N) of a setting-2 row from its quadratic forms.
+def setting2_terms(g_0: float, h_0: float, x2m1: float, dp, dq, jq,
+                   ell_min: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E_opt, y^2 - 1, delta E_N) of setting-2 rows from their quadratic forms, elementwise.
 
-    dp = J^T T_p^{-1} J, dq = g_bA^T T_q^{-1} g_Ab and jq = J^T T_q^{-1} J;
-    x = 2 nu_0 and y = 2 nu_1.  x^2 - y^2 = 4 (g_0 dp + h_0 dq - dq dp) is
-    formed from its parts, and so is delta E_N = arcsinh of the shrink over
-    y sqrt(x^2 - 1) + x sqrt(y^2 - 1), never a difference of two arccosh.
-    Raises NumericsError when nu_1 falls below 1/2 - PHYSICALITY_TOL.
+    dp = J^T T_p^{-1} J, dq = g_bA^T T_q^{-1} g_Ab and jq = J^T T_q^{-1} J are
+    scalars, or columns for ell = ell_min, ell_min + 1, ...; x = 2 nu_0 and
+    y = 2 nu_1.  x^2 - y^2 = 4 (g_0 dp + h_0 dq - dq dp) is formed from its
+    parts, and so is delta E_N = arcsinh of the shrink over y sqrt(x^2 - 1)
+    + x sqrt(y^2 - 1), never a difference of two arccosh.  Raises
+    NumericsError naming the first ell where nu_1 < 1/2 - PHYSICALITY_TOL.
     """
     shrink = 4.0 * (g_0 * dp + h_0 * dq - dq * dp)
-    y2m1 = x2m1 - shrink
-    if not y2m1 >= -4.0 * PHYSICALITY_TOL:
-        raise NumericsError(f"target symplectic eigenvalue^2 {(1.0 + y2m1) / 4:.6g} < 1/4 after the measurement")
-    y2m1 = max(y2m1, 0.0)
+    y2m1 = np.asarray(x2m1 - shrink)
+    bad = np.flatnonzero(~(y2m1 >= -4.0 * PHYSICALITY_TOL))
+    if bad.size:
+        i = bad[0]
+        raise NumericsError(f"ell={ell_min + i}: target symplectic eigenvalue^2 {(1.0 + y2m1.flat[i]) / 4:.6g} "
+                            "< 1/4 after the measurement")
+    y2m1 = np.maximum(y2m1, 0.0)
     x, y = np.sqrt(1.0 + x2m1), np.sqrt(1.0 + y2m1)
     denominator = y * np.sqrt(x2m1) + x * np.sqrt(y2m1)
-    delta = np.arcsinh(shrink / denominator) / np.log(2.0) if denominator > 0.0 else 0.0
-    return float(-0.5 * (dp + jq)), float(y2m1), float(delta)
+    sinh = np.divide(shrink, denominator, out=np.zeros_like(denominator), where=denominator > 0.0)
+    delta = np.arcsinh(sinh) / np.log(2.0)
+    return -0.5 * (dp + jq), y2m1, delta
 
 
 def run_setting2(params: ChainParams, ell: int) -> QetReport:
@@ -250,16 +255,16 @@ def run_setting2(params: ChainParams, ell: int) -> QetReport:
     t_p_inv_j = solve_toeplitz(t_p, j)
     t_q_inv_j, t_q_inv_g_b = solve_toeplitz(t_q, np.column_stack([j, g_b])).T
     x2m1 = target_x2m1(g, h)
-    energy, y2m1, delta = setting2_terms(g[0], h[0], x2m1, j @ t_p_inv_j, g_b @ t_q_inv_g_b, j @ t_q_inv_j)
+    energy, y2m1, delta = setting2_terms(g[0], h[0], x2m1, j @ t_p_inv_j, g_b @ t_q_inv_g_b, j @ t_q_inv_j, ell)
     x, y = np.sqrt(1.0 + x2m1), np.sqrt(1.0 + y2m1)
     return QetReport(
-        optimized_energy=energy,
+        optimized_energy=float(energy),
         plan=DisplacementPlan(theta=-t_p_inv_j, phi=-t_q_inv_j),
         e_n_before=float(np.arcsinh(np.sqrt(x2m1)) / np.log(2.0)),
         e_n_after=float(np.arcsinh(np.sqrt(y2m1)) / np.log(2.0)),
         s_m_before=float(2.0 * _entropy_terms(x / 2.0)),
         s_m_after=float(2.0 * _entropy_terms(y / 2.0)),
-        delta_log_negativity=delta,
+        delta_log_negativity=float(delta),
     )
 
 

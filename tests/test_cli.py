@@ -73,19 +73,48 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_failing_row_names_its_grid_point(self, monkeypatch, capsys):
+        # The sweep collects the recursion's forms before it evaluates any
+        # row, so the fault is planted in the recursion, at ell = 37.
         import qetchain.experiment as experiment
 
-        real = experiment._recursion_row
+        real = experiment.setting2_forms
 
-        def flaky(ell, *args):
-            if ell == 37:
-                raise np.linalg.LinAlgError("synthetic failure")
-            return real(ell, *args)
+        def flaky(params, hi):
+            for ell, form in enumerate(real(params, hi), start=1):
+                if ell == 37:
+                    raise np.linalg.LinAlgError("synthetic failure")
+                yield form
 
-        monkeypatch.setattr(experiment, "_recursion_row", flaky)
+        monkeypatch.setattr(experiment, "setting2_forms", flaky)
         assert cli_main(["setting2", "--n", "100", "--alpha", "a1", "--ell-min", "36", "--ell-max", "38"]) == 2
         err = capsys.readouterr().err
         assert "numerical failure" in err and "ell=37" in err and "synthetic failure" in err
+
+    def test_unphysical_row_names_its_grid_point(self, monkeypatch, capsys):
+        # dp + 1 at ell = 37 pushes the target's symplectic eigenvalue below
+        # 1/2 there, and only there.
+        import qetchain.experiment as experiment
+
+        real = experiment.setting2_forms
+
+        def inflated(params, hi):
+            for ell, (dp, dq, jq) in enumerate(real(params, hi), start=1):
+                yield (dp + 1.0 if ell == 37 else dp), dq, jq
+
+        monkeypatch.setattr(experiment, "setting2_forms", inflated)
+        assert cli_main(["setting2", "--n", "100", "--alpha", "a1", "--ell-min", "36", "--ell-max", "38"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: ell=37: target symplectic eigenvalue^2" in err and "< 1/4" in err
+
+    def test_unphysical_size_row_names_its_size_and_block(self, monkeypatch, capsys):
+        # A target that starts as a pure product state (x^2 - 1 = 0) has no
+        # entanglement to lose, so the measurement at N = 20 (ell = 8) fails.
+        import qetchain.qet_protocol as qet_protocol
+
+        monkeypatch.setattr(qet_protocol, "target_x2m1", lambda g, h: 0.0)
+        assert cli_main(["size-sweep", "--alpha", "a1", "--n-list", "20", "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: N=20: ell=8: target symplectic eigenvalue^2" in err and "< 1/4" in err
 
     def test_failing_setting1_row_names_its_separation(self, monkeypatch, capsys):
         # The sweep evaluates every separation in one pass, so the fault is

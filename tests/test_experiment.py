@@ -70,6 +70,7 @@ class TestFitPowerLaw:
         assert fit.r_squared > 1 - 1e-9
         assert fit.offset is None
         assert fit.window == (1.0, 9.0)
+        assert fit_power_law(np.array(points[::-1])) == fit  # sorted by x before fitting
 
     def test_offset_variant_on_synthetic_data(self):
         points = [(x, 5.0 * x**-2 + 7.0) for x in np.arange(1.0, 31.0)]
@@ -89,6 +90,8 @@ class TestFitPowerLaw:
             fit_power_law([(1.0, 1.0), (2.0, 2.0)])
         with pytest.raises(ValueError):
             fit_power_law([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
+        with pytest.raises(ValueError):
+            fit_power_law([(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (3.0, 3.0, 3.0)])
 
 
 class TestSweeps:
@@ -99,7 +102,7 @@ class TestSweeps:
         table = sweep_setting1(config)
         assert table.columns == ("d", "E_B_opt", "E_N_before", "E_N_after", "delta_E_N",
                                  "S_M_before", "S_M_after", "delta_S_M")
-        assert [row[0] for row in table.rows] == list(range(9))
+        assert table.column("d").dtype.kind == "i" and table.column("d").tolist() == list(range(9))
         assert np.all(table.column("E_B_opt") <= 0)
         assert np.all(table.column("delta_E_N") >= -1e-10)
         assert table.column("delta_E_N")[0] > 0
@@ -113,7 +116,7 @@ class TestSweeps:
         config = RunConfig(mode="setting2", n_sites=12, alpha=0.9, threads=1)
         table = sweep_setting2(config)
         assert table.columns == ("ell", "delta_E_N", "E_B_abs", "ratio")
-        assert [row[0] for row in table.rows] == [1, 2, 3, 4]
+        assert table.column("ell").dtype.kind == "i" and table.column("ell").tolist() == [1, 2, 3, 4]
         ratio = table.column("ratio")
         assert np.all(np.diff(ratio) >= -1e-12)
         with pytest.raises(ValueError):
@@ -133,7 +136,7 @@ class TestSweeps:
     def test_size_sweep_rows(self):
         config = RunConfig(mode="size-sweep", alpha=0.9, n_list=(6, 8, 10), threads=1)
         table = sweep_size(config)
-        assert [row[0] for row in table.rows] == [6, 8, 10]
+        assert table.column("N").dtype.kind == "i" and table.column("N").tolist() == [6, 8, 10]
         assert np.all(table.column("beta") > 0)
 
 
@@ -159,20 +162,18 @@ def _cells_close(column: str, got: float, ref: float) -> bool:
     return abs(got - ref) <= 1e-9 * abs(ref) + floor
 
 
+def _rows(table: SweepTable) -> list[tuple]:
+    return list(zip(*map(table.column, table.columns)))
+
+
 class TestSetting1Sweep:
-    @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("preset", ["a1", "a4"])
-    def test_rows_match_full_state_rebuild(self, preset, threads):
-        config = RunConfig(mode="setting1", n_sites=100, alpha=ALPHA_PRESETS[preset], d_max=40, threads=threads)
+    def test_rows_match_full_state_rebuild(self, preset):
+        config = RunConfig(mode="setting1", n_sites=100, alpha=ALPHA_PRESETS[preset], d_max=40)
         expected = tuple(_setting1_row_rebuilt(config.params(), d) for d in range(41))
         correlation_vectors.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # pool threads interleave often over the memoised correlators
-        try:
-            table = sweep_setting1(config)
-        finally:
-            sys.setswitchinterval(interval)
-        for row, ref in zip(table.rows, expected, strict=True):
+        table = sweep_setting1(config)
+        for row, ref in zip(_rows(table), expected, strict=True):
             assert row[0] == ref[0]
             for column, got, want in zip(table.columns[1:], row[1:], ref[1:]):
                 assert _cells_close(column, got, want), (row[0], column, got, want)
@@ -209,8 +210,9 @@ class TestSetting1Columns:
         table = sweep_setting1(RunConfig(mode="setting1", n_sites=n, alpha=alpha, omega=omega, d_max=n - 2))
         checked = _setting1_checked_rows(n)
         params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
-        want = SweepTable(columns=table.columns, rows=tuple(_setting1_row_scalar(params, d) for d in checked))
-        got = SweepTable(columns=table.columns, rows=tuple(table.rows[d] for d in checked))
+        want = zip(*(_setting1_row_scalar(params, d) for d in checked))
+        want = SweepTable({name: np.array(column) for name, column in zip(table.columns, want)})
+        got = SweepTable({name: table.column(name)[checked] for name in table.columns})
         assert render_csv(got) == render_csv(want)
 
     @pytest.mark.parametrize("n, alpha, omega", SETTING1_GRID)
@@ -221,7 +223,7 @@ class TestSetting1Columns:
             rep = run_setting1(params, d)
             got = (rep.optimized_energy, rep.e_n_before, rep.e_n_after, rep.delta_log_negativity,
                    rep.s_m_before, rep.s_m_after, rep.delta_mutual_information)
-            assert got == pytest.approx(table.rows[d][1:], rel=1e-15, abs=0.0), d
+            assert got == pytest.approx(_rows(table)[d][1:], rel=1e-15, abs=0.0), d
 
     def test_sweep_looks_up_the_correlators_once(self, monkeypatch):
         import qetchain.experiment as experiment
@@ -236,7 +238,7 @@ class TestSetting1Columns:
         monkeypatch.setattr(qet_protocol, "correlation_vectors", counted)
         monkeypatch.setattr(experiment, "correlation_vectors", counted)
         table = sweep_setting1(RunConfig(mode="setting1", n_sites=100, alpha=0.9, d_max=40))
-        assert len(table.rows) == 41
+        assert len(table.column("d")) == 41
         assert calls == [(100, 0.9)]
 
 
@@ -274,15 +276,21 @@ class TestDeterminism:
         b = render_csv(sweep_setting1(config))
         assert a == b
 
-    def test_thread_count_does_not_change_bytes(self):
-        serial = RunConfig(mode="setting2", n_sites=16, alpha=0.9, threads=1)
-        pooled = RunConfig(mode="setting2", n_sites=16, alpha=0.9, threads=4)
-        assert render_csv(sweep_setting2(serial)) == render_csv(sweep_setting2(pooled))
-
-    def test_setting1_thread_count_does_not_change_bytes(self):
-        serial = RunConfig(mode="setting1", n_sites=60, alpha=0.95, d_max=25, threads=1)
-        pooled = RunConfig(mode="setting1", n_sites=60, alpha=0.95, d_max=25, threads=4)
-        assert render_csv(sweep_setting1(serial)) == render_csv(sweep_setting1(pooled))
+    def test_size_sweep_thread_count_does_not_change_bytes(self):
+        # The size sweep is the one sweep whose rows run in the pool.
+        sizes = (20, 8, 30, 6, 40, 12)
+        serial = RunConfig(mode="size-sweep", alpha=0.95, n_list=sizes, threads=1)
+        pooled = RunConfig(mode="size-sweep", alpha=0.95, n_list=sizes, threads=4)
+        expected = render_csv(sweep_size(serial))
+        correlation_vectors.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # pool threads interleave often over the memoised correlators
+        try:
+            got = render_csv(sweep_size(pooled))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert [line.split(",")[0] for line in got.splitlines()[1:]] == [str(n) for n in sizes]
 
 
 class TestFormatting:
@@ -292,6 +300,31 @@ class TestFormatting:
 
     def test_no_negative_zero(self):
         assert format_value(-0.0) == "0"
+
+    def test_rendered_cells_follow_format_value(self):
+        floats = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e300, 1e-300, -1e-300, 0.123456789012345, -2.5]
+        columns = {
+            "k": np.arange(len(floats), dtype=np.int64) * 10**15,  # numpy int64 grid
+            "N": [6, 8, 10, 12, 14, 16, 18, 20, 22, 2**40],  # Python-int grid
+            "x": np.array(floats),
+            "y": -np.array(floats[::-1]),
+        }
+        table = SweepTable(columns)
+        lines = render_csv(table).splitlines()
+        assert lines[0] == "k,N,x,y"
+        assert len(lines) == len(floats) + 1
+        for i, line in enumerate(lines[1:]):
+            assert line.split(",") == [format_value(table.column(name)[i]) for name in table.columns]
+        assert [line.split(",")[2] for line in lines[1:4]] == ["0", "0", "nan"]
+
+    def test_table_columns_are_read_only(self):
+        energy = np.array([-1.0, -0.5])
+        table = SweepTable({"d": [0, 1], "E_B_opt": energy})
+        assert table.column("d").dtype.kind == "i"
+        with pytest.raises(ValueError):
+            table.column("E_B_opt")[0] = 0.0
+        with pytest.raises(ValueError, match="equal length"):
+            SweepTable({"d": [0, 1, 2], "E_B_opt": energy})
 
     def test_csv_layout(self):
         config = RunConfig(mode="size-sweep", alpha=0.9, n_list=(6, 8), threads=1)

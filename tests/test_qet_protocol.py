@@ -14,6 +14,7 @@ from qetchain import (
     ChainParams,
     DisplacementPlan,
     MeasurementSpec,
+    NumericsError,
     RunConfig,
     build_quadratics,
     correlation_vectors,
@@ -29,7 +30,7 @@ from qetchain import (
     sweep_setting2,
 )
 from qetchain.experiment import render_csv
-from qetchain.qet_protocol import setting2_forms
+from qetchain.qet_protocol import setting2_forms, setting2_terms, target_x2m1
 
 A1, A2, A3, A4 = (ALPHA_PRESETS[k] for k in ("a1", "a2", "a3", "a4"))
 T_P_FROZEN = 0.9618290801532325  # h0 + 1/2 at N=4, alpha=0.9, omega=1
@@ -306,6 +307,10 @@ class TestBorderedRecursion:
     # independent reference here.
 
     @staticmethod
+    def _rows(table):
+        return list(zip(*map(table.column, table.columns)))
+
+    @staticmethod
     def _assert_rows_match(params, rows, ells, rel, energy_floor, entanglement_floor):
         for row, ell in zip(rows, ells, strict=True):
             rep = run_setting2(params, ell)
@@ -320,7 +325,7 @@ class TestBorderedRecursion:
     def test_every_row_matches_run_setting2(self, n, alpha):
         for omega in (0.5, 1.0, 2.0):
             config = RunConfig(mode="setting2", n_sites=n, alpha=alpha, omega=omega, threads=1)
-            rows = sweep_setting2(config).rows
+            rows = self._rows(sweep_setting2(config))
             self._assert_rows_match(config.params(), rows, range(1, n // 2 - 1), 1e-9, ENERGY_FLOOR,
                                     ENTANGLEMENT_FLOOR)
 
@@ -331,8 +336,8 @@ class TestBorderedRecursion:
         # a3 and 2.3e-15 at a4.
         params = ChainParams(n_sites=2000, alpha=alpha)
         ells = (1, 10, 100, 500, 998)
-        table = sweep_setting2(RunConfig(mode="setting2", n_sites=2000, alpha=alpha, threads=1))
-        self._assert_rows_match(params, [table.rows[ell - 1] for ell in ells], ells, 1e-12, 0.0, 0.0)
+        rows = self._rows(sweep_setting2(RunConfig(mode="setting2", n_sites=2000, alpha=alpha, threads=1)))
+        self._assert_rows_match(params, [rows[ell - 1] for ell in ells], ells, 1e-12, 0.0, 0.0)
 
     @pytest.mark.parametrize("bounds", [(1, 1), (1, 5), (7, 7), (3, 12), (20, 23), (12, 23), (None, 4), (9, None)])
     def test_sub_range_is_a_slice_of_the_full_sweep(self, bounds):
@@ -380,6 +385,47 @@ class TestBorderedRecursion:
         monkeypatch.setattr(experiment, "setting2_forms", failing)
         with pytest.raises(np.linalg.LinAlgError, match="^ell=3: synthetic failure$"):
             sweep_setting2(RunConfig(mode="setting2", n_sites=20, alpha=0.9, ell_min=5, threads=1))
+
+    @pytest.mark.parametrize("unphysical, stop, named", [((3, 5), None, 3), ((4,), 6, 4), ((6,), 4, 4)])
+    def test_first_failing_block_is_named(self, monkeypatch, unphysical, stop, named):
+        # dp + 1 drives nu_1 below 1/2 at the blocks in unphysical (at
+        # N = 20, a1 the true shrink is at most 0.012 against x^2 - 1 = 0.24);
+        # the recursion raises at stop.  Rows before the stop are checked first.
+        import qetchain.experiment as experiment
+
+        def planted(params, hi):
+            for ell, (dp, dq, jq) in enumerate(setting2_forms(params, hi), start=1):
+                if ell == stop:
+                    raise np.linalg.LinAlgError("synthetic failure")
+                yield (dp + 1.0 if ell in unphysical else dp), dq, jq
+
+        monkeypatch.setattr(experiment, "setting2_forms", planted)
+        error = np.linalg.LinAlgError if named == stop else NumericsError
+        message = "synthetic failure" if named == stop else r"target symplectic eigenvalue\^2 -?[0-9.e+-]+ < 1/4 "
+        with pytest.raises(error, match=f"^ell={named}: {message}"):
+            sweep_setting2(RunConfig(mode="setting2", n_sites=20, alpha=0.9, ell_min=5, threads=1))
+
+    def test_run_setting2_names_its_unphysical_block(self, monkeypatch):
+        # A target that starts as a pure product state (x^2 - 1 = 0) has no
+        # entanglement to lose; the measurement's shrink at ell = 5 is 1.2e-3.
+        import qetchain.qet_protocol as qet_protocol
+
+        monkeypatch.setattr(qet_protocol, "target_x2m1", lambda g, h: 0.0)
+        with pytest.raises(NumericsError, match=r"^ell=5: target symplectic eigenvalue\^2 "):
+            run_setting2(ChainParams(n_sites=20, alpha=0.9), 5)
+
+    @pytest.mark.parametrize("alpha", [0.0, A1, A4])
+    def test_column_terms_equal_scalar_terms_bitwise(self, alpha):
+        params = ChainParams(n_sites=100, alpha=alpha, omega=0.7)
+        g, h = correlation_vectors(100, alpha)
+        before = (float(g[0]), float(h[0]), target_x2m1(g, h))
+        forms = list(setting2_forms(params, 48))
+        columns = setting2_terms(*before, *np.array(forms).T)
+        for ell, form in enumerate(forms, start=1):
+            scalars = setting2_terms(*before, *form, ell_min=ell)
+            for column, scalar in zip(columns, scalars, strict=True):
+                assert np.shape(scalar) == ()
+                assert column[ell - 1].tobytes() == np.float64(scalar).tobytes(), ell
 
 
 # Calls that need scipy.linalg (a setting-2 row and a dense optimal plan) and
