@@ -6,10 +6,11 @@ independent general-dyne, Monte Carlo, and truncated-number-basis oracles
 live in ``qetchain.oracle`` and the shared checks in ``qetchain.invariants``;
 neither is re-exported here.
 
-Importing the package and running the setting-1 and setting-2 sweeps need
-only numpy: each function that calls ``scipy.linalg`` imports it in its own
-body, so only ``run_setting2``, the size sweep, the dense quadratic
-solves, the oracles and the CLI pay for loading it.
+Importing the package and running any sweep need only numpy: the size
+sweep reads the same bordered recursion as the setting-2 sweep.  Each
+function that calls ``scipy.linalg`` imports it in its own body, so only
+``run_setting2`` (the Levinson reference the recursion is tested against),
+the dense quadratic solves, the oracles and the CLI pay for loading it.
 """
 
 from .chain_model import (

@@ -59,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
 
-    sweep_flags = (("--threads", dict(type=int, help="size-sweep worker threads, 0 = auto "
-                                                     f"(default {RunConfig.threads})")),
+    sweep_flags = (("--threads", dict(type=int, help="accepted, >= 0, and changes no sweep: every sweep "
+                                                     f"runs in one thread (default {RunConfig.threads})")),
                    ("--fit-min", dict(type=float)), ("--fit-max", dict(type=float)),
                    ("--out", dict(help="CSV output path")))
     mode("setting1", "separation sweep with single-site groups",

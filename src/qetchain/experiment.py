@@ -8,24 +8,25 @@ pure functions of the configuration, and floats are serialized with 12
 significant digits so that repeated runs produce byte-identical files.
 One setting1_columns call evaluates every separation of setting 1.
 Setting 2 collects the forms of one sequential bordered recursion over ell
-and evaluates setting2_terms once on them.  Size-sweep rows are closed
-forms in the memoised correlator vectors (see qet_protocol), so they share
-nothing but those read-only arrays and run optionally in a thread pool,
-always merged in grid order; threads affects the size sweep only.
+and evaluates setting2_terms once on them; a size-sweep row is the last
+form of that recursion at ell = N/2 - 2, so no sweep needs scipy.  Every
+sweep runs in one thread: RunConfig.threads is accepted and changes no
+sweep.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .chain_model import ChainParams, correlation_vectors
 from .gaussian_state import NumericsError
-from .qet_protocol import run_setting2, setting1_columns, setting2_forms, setting2_terms, target_x2m1
+from .qet_protocol import setting1_columns, setting2_forms, setting2_terms, target_x2m1
+# No sweep calls run_setting2: benchmarks/test_tracer.py checks that the tracer wraps it here, and
+# tests/test_benchmark_names.py pins the name.
+from .qet_protocol import run_setting2  # noqa: F401
 
 ALPHA_PRESETS = {
     "a1": 0.90,
@@ -112,27 +113,11 @@ class PowerLawFit:
     window: tuple[float, float]
 
 
-def _map_ordered(fn: Callable, items: Iterable, threads: int, grid: str) -> list:
-    """fn over items in grid order; a numerical failure is re-raised naming its grid point."""
-    def labelled(item):
-        try:
-            return fn(item)
-        except (NumericsError, np.linalg.LinAlgError) as exc:
-            raise type(exc)(f"{grid}={item}: {exc}") from exc
-
-    items = list(items)
-    if threads == 1 or len(items) <= 1:
-        return [labelled(item) for item in items]
-    workers = threads if threads > 0 else min(len(items), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(labelled, items))
-
-
 def sweep_setting1(config: RunConfig) -> SweepTable:
     """One row per separation d = 0..d_max for single-site groups, from one column evaluation.
 
     E_N and S_M after the measurement are exactly 0 (see qet_protocol), so
-    each drop equals its before value.  threads has no effect here.
+    each drop equals its before value.
     """
     energy, _, _, e_n, s_m = setting1_columns(config.params(), config.d_max)
     zero = np.zeros_like(energy)
@@ -148,13 +133,32 @@ def _block_table(grid: str, x: np.ndarray, energy: np.ndarray, delta: np.ndarray
     return SweepTable({grid: x, "delta_E_N": delta, "E_B_abs": e_abs, ratio: quotient})
 
 
+def _setting2_columns(params: ChainParams, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E_opt, delta E_N) of setting-2 rows ell = lo..hi, from one bordered recursion over ell = 1..hi.
+
+    A failure names its ell: an unphysical row among lo..hi before the
+    recursion stops is named first, then the ell where it stopped.
+    """
+    g, h = correlation_vectors(params.n_sites, params.alpha)
+    before = (float(g[0]), float(h[0]), target_x2m1(g, h))
+    forms, ell = [], 0
+    try:
+        for ell, form in enumerate(setting2_forms(params, hi), start=1):
+            if ell >= lo:
+                forms.append(form)
+    except (NumericsError, np.linalg.LinAlgError) as exc:
+        setting2_terms(*before, *np.reshape(forms, (-1, 3)).T, ell_min=lo)  # a row before the stop fails first
+        raise type(exc)(f"ell={ell + 1}: {exc}") from exc
+    energy, _, delta = setting2_terms(*before, *np.array(forms).T, ell_min=lo)
+    return energy, delta
+
+
 def sweep_setting2(config: RunConfig) -> SweepTable:
     """One row per measured-block half-width ell, all from one bordered recursion.
 
-    The recursion runs from ell = 1 whatever ell_min is, so a sub-range is
-    the matching slice of the full sweep, and a failure names the first
-    failing ell of the whole range.  It is sequential: threads has no
-    effect here.
+    The recursion runs from ell = 1 whatever ell_min is, and every row is
+    checked, so a sub-range is the matching slice of the full sweep, and a
+    failure names the first failing ell of the whole range.
     """
     params = config.params()
     top = params.n_sites // 2 - 2
@@ -162,31 +166,22 @@ def sweep_setting2(config: RunConfig) -> SweepTable:
     hi = top if config.ell_max is None else config.ell_max
     if not 1 <= lo <= hi <= top:
         raise ValueError(f"ell range [{lo}, {hi}] must lie within [1, {top}]")
-
-    g, h = correlation_vectors(params.n_sites, params.alpha)
-    before = (float(g[0]), float(h[0]), target_x2m1(g, h))
-    forms = []
-    try:
-        for form in setting2_forms(params, hi):
-            forms.append(form)
-    except (NumericsError, np.linalg.LinAlgError) as exc:
-        setting2_terms(*before, *np.reshape(forms, (-1, 3)).T)  # a row before the stop fails first
-        raise type(exc)(f"ell={len(forms) + 1}: {exc}") from exc
-    energy, _, delta = setting2_terms(*before, *np.array(forms).T)
+    energy, delta = _setting2_columns(params, 1, hi)
     return _block_table("ell", np.arange(lo, hi + 1), energy[lo - 1:], delta[lo - 1:], "ratio")
 
 
 def sweep_size(config: RunConfig) -> SweepTable:
-    """One row per system size N, each at the maximal block ell = N/2 - 2."""
+    """One row per system size N, in grid order: the last row of a recursion up to ell = N/2 - 2."""
     for n in config.n_list:
         if n < 6 or n % 2 != 0:
             raise ValueError(f"size sweep needs even N >= 6, got {n}")
-
-    def block(n: int) -> tuple[float, float]:
-        rep = run_setting2(config.params(n_sites=n), n // 2 - 2)
-        return rep.optimized_energy, rep.delta_log_negativity
-
-    energy, delta = np.array(_map_ordered(block, config.n_list, config.threads, "N")).T
+    rows = []
+    for n in config.n_list:
+        try:
+            rows.append(_setting2_columns(config.params(n_sites=n), n // 2 - 2, n // 2 - 2))
+        except (NumericsError, np.linalg.LinAlgError) as exc:
+            raise type(exc)(f"N={n}: {exc}") from exc
+    energy, delta = np.hstack(rows)
     return _block_table("N", np.array(config.n_list), energy, delta, "beta")
 
 
@@ -270,7 +265,9 @@ def render_csv(table: SweepTable) -> str:
     columns = [table.column(name) for name in table.columns]
     integer = [column.dtype.kind in "iu" for column in columns]
     row_format = ",".join("%d" if is_int else "%.12g" for is_int in integer) + "\n"
-    cells = [column if is_int else column + 0.0 for column, is_int in zip(columns, integer)]
+    # + 0.0 turns -0.0 into 0; only a column that holds a -0.0 is copied.
+    cells = [column + 0.0 if not is_int and np.signbit(column[column == 0.0]).any() else column
+             for column, is_int in zip(columns, integer)]
     lines = [",".join(table.columns) + "\n"]
     lines.extend(row_format % row for row in zip(*cells))
     return "".join(lines)

