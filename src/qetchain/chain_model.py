@@ -44,8 +44,8 @@ class ChainParams:
             raise ValueError(f"n_sites must be even and >= 4, got {self.n_sites}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not 0.0 < self.omega < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
 
 
 def mode_frequencies(n_sites: int, alpha: float) -> np.ndarray:

@@ -7,7 +7,10 @@ is checking:
   covariance and the outcome-to-mean gains directly from the ground
   covariance of the whole chain, and a Monte Carlo estimator that replays
   the protocol (sample outcome, condition, displace, read off the target
-  energy) sample by sample, evaluating several plans on one draw.  The
+  energy) sample by sample, evaluating several plans on one draw.  It
+  walks the draw in cache-sized blocks of rows and pools each block's
+  count, mean and centred sum of squares exactly, so no array as long as
+  the draw is formed besides the draw itself.  The
   conditioning runs sector by sector, positions on X and momenta on P:
   the state and the detector noise have no q-p cross-covariance, so the
   joint 2n x 2n update is block-diagonal and equals the two sector
@@ -33,11 +36,11 @@ from .chain_model import ChainParams, correlation_vectors, ground_covariance
 from .gaussian_state import CovarianceMatrix, NumericsError, _mode_indices
 from .povm_measurement import (
     MeasurementSpec,
+    _row_blocks,
     outcome_distribution,
     sample_outcomes,
     unmeasured_sites,
 )
-from .qet_protocol import DisplacementPlan
 
 TOP_LEVEL_POPULATION_TOL = 1e-6
 
@@ -125,6 +128,13 @@ def monte_carlo_energy(
     so for a target with no measured neighbor the sample mean of this
     quantity is exactly the displacement energy that the analytic
     quadratic form minimizes).
+
+    The draw is read in blocks of rows.  Per block, each mean is one matvec
+    on X or on P and the energy is formed in place; the block's count,
+    mean and centred sum of squares are merged into the plan's running
+    totals by the pairwise update of Chan, Golub and LeVeque, which is
+    exact, so the mean and the standard error are those of the whole draw
+    up to round-off.
     """
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
@@ -154,20 +164,38 @@ def monte_carlo_energy(
         else:
             neighbor_x[spec.measured_sites.index(s)] += 1.0
 
-    # Each mean is one matvec on the stacked draw (X, P); q means read X only
-    # and p means P only.  A matvec's bits do not depend on the other rows,
-    # so a plan's result does not depend on the other plans.
-    zero = np.zeros_like(neighbor_x)
-    draw = np.concatenate(sample_outcomes(outcome_distribution(params, spec), seed, n_samples), axis=1)
-    neighbors = draw @ np.concatenate([neighbor_x, zero])
+    # Every plan reads the same blocks and the same neighbor means, and its
+    # own vectors otherwise, so its result does not depend on the other plans.
+    xs, ps = sample_outcomes(outcome_distribution(params, spec), seed, n_samples)
+    gains = [(upd.gain_x[b] + plan.phi, upd.gain_p[b] + plan.theta) for plan in plans]
+    totals = [(0, 0.0, 0.0)] * len(plans)
+    for start, stop in _row_blocks(n_samples):
+        x, p = xs[start:stop], ps[start:stop]
+        neighbors = np.dot(x, neighbor_x)
+        for i, (gain_q, gain_p) in enumerate(gains):
+            mean_q_b, energy = np.dot(x, gain_q), np.dot(p, gain_p)
+            energy *= energy
+            energy += np.square(mean_q_b)
+            energy *= 0.5
+            mean_q_b *= alpha / 2.0
+            mean_q_b *= neighbors
+            energy -= mean_q_b
+            energy += constant
+            block_mean = float(energy.mean())
+            energy -= block_mean
+            totals[i] = _merge_moments(totals[i], (stop - start, block_mean, float(np.dot(energy, energy))))
+    return [(mean, float(np.sqrt(m2 / (n_samples - 1) / n_samples))) for _, mean, m2 in totals]
 
-    def estimate(plan: DisplacementPlan) -> tuple[float, float]:
-        mean_q_b = draw @ np.concatenate([upd.gain_x[b] + plan.phi, zero])
-        mean_p_b = draw @ np.concatenate([zero, upd.gain_p[b] + plan.theta])
-        energy = 0.5 * (mean_p_b**2 + mean_q_b**2) - (alpha / 2.0) * mean_q_b * neighbors + constant
-        return float(energy.mean()), float(energy.std(ddof=1) / np.sqrt(n_samples))
 
-    return [estimate(plan) for plan in plans]
+def _merge_moments(a, b):
+    """Pool two (count, mean, centred sum of squares) triples exactly.
+
+    Chan, Golub and LeVeque, The American Statistician 37, 242 (1983).
+    """
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
 
 
 @dataclass(frozen=True)

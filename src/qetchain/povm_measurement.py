@@ -24,6 +24,10 @@ import numpy as np
 from .chain_model import ChainParams, correlation_submatrices
 from .gaussian_state import CovarianceMatrix
 
+# Rows per block of the Monte Carlo draw, and of the oracle's walk over it:
+# a block of normals and the estimator's per-block vectors stay in L2.
+_BLOCK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class MeasurementSpec:
@@ -38,8 +42,8 @@ class MeasurementSpec:
             raise ValueError("measured_sites must be non-empty")
         if len(set(sites)) != len(sites):
             raise ValueError(f"measured_sites contains duplicates: {sites}")
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not 0.0 < self.omega < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
         object.__setattr__(self, "measured_sites", sites)
 
 
@@ -137,13 +141,38 @@ def sample_outcomes(dist: OutcomeDistribution, seed: int, count: int) -> tuple[n
     """Draw outcome vectors; rows of the returned (count, |A|) arrays pair up as (X, P).
 
     Deterministic for a given seed: standard normals are multiplied by the
-    Cholesky factors of the two covariances, X stream first.
+    Cholesky factors of the two covariances, X stream first.  Each array is
+    filled block by block (see _row_blocks) from one reused block of
+    normals.  The generator's stream runs on across blocks, and each block
+    meets the same BLAS product as the whole array would, so the stream and
+    the bits are those of the one-shot standard_normal((count, |A|)) @
+    cholesky.T.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     m = dist.x_covariance.shape[0]
-    # np.dot, not @: for one measured site matmul takes a slow (count, 1) x (1, 1) loop.
-    xs = np.dot(rng.standard_normal((count, m)), np.linalg.cholesky(dist.x_covariance).T)
-    ps = np.dot(rng.standard_normal((count, m)), np.linalg.cholesky(dist.p_covariance).T)
-    return xs, ps
+    blocks = _row_blocks(count)
+    normals = np.empty((max(stop - start for start, stop in blocks), m))
+    draw = []
+    for covariance in (dist.x_covariance, dist.p_covariance):
+        factor = np.linalg.cholesky(covariance).T
+        out = np.empty((count, m))
+        for start, stop in blocks:
+            z = rng.standard_normal(out=normals[:stop - start])
+            # np.dot, not @: for one measured site matmul takes a slow (rows, 1) x (1, 1) loop.
+            np.dot(z, factor, out=out[start:stop])
+        draw.append(out)
+    return tuple(draw)
+
+
+def _row_blocks(count: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive blocks of _BLOCK_ROWS rows covering count rows.
+
+    A one-row remainder joins the block before it: numpy multiplies a lone
+    row through gemv, whose bits can differ from gemm's for the same row.
+    """
+    stops = list(range(_BLOCK_ROWS, count, _BLOCK_ROWS))
+    if stops and count - stops[-1] == 1:
+        stops.pop()
+    return list(zip([0] + stops, stops + [count]))

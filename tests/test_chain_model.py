@@ -54,6 +54,9 @@ class TestChainParams:
             ChainParams(n_sites=4, alpha=-0.1)
         with pytest.raises(ValueError):
             ChainParams(n_sites=4, alpha=0.5, omega=0.0)
+        for omega in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="omega must be finite and positive"):
+                ChainParams(n_sites=4, alpha=0.5, omega=omega)
 
     def test_critical_cutoff_is_an_ordinary_value(self):
         ChainParams(n_sites=100, alpha=A4)

@@ -149,6 +149,17 @@ class TestExitCodes:
         assert out == ""
         assert "seed must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("mode", ["setting1", "setting2", "size-sweep", "validate"])
+    def test_non_finite_omega_fails_before_any_output(self, mode, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"omega = {value}\n")
+        for argv in ([mode, "--omega", value], [mode, "--config", str(cfg)]):
+            assert cli_main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"omega must be finite and positive, got {value}" in err
+
     def test_unwritable_out_names_the_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "s1.csv"
         assert cli_main(["setting1", "--n", "20", "--d-max", "3", "--threads", "1", "--out", str(out)]) == 1

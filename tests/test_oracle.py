@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from qetchain.oracle import (
     monte_carlo_energy,
     two_mode_ground_covariance,
 )
-from qetchain.povm_measurement import _schur_complement, build_m_matrix, quarter_inverse
+from qetchain.povm_measurement import _BLOCK_ROWS, _schur_complement, build_m_matrix, quarter_inverse
 
 
 # Every (alpha, cutoff) at which the tests, validate and the acceptance criteria solve the pair.
@@ -122,6 +123,42 @@ def replayed_energy(params, spec, target, plans, n_samples, seed):
             energies.append(energy - (0.5 * (h[0] + g[0]) - alpha * g[1]))
         mean = math.fsum(energies) / n_samples
         variance = math.fsum((e - mean) ** 2 for e in energies) / (n_samples - 1)
+        results.append((mean, math.sqrt(variance / n_samples)))
+    return results
+
+
+def fsum_energy(params, spec, target, plans, n_samples, seed):
+    """Reference for long draws: every sample's energy at once, pooled with math.fsum.
+
+    The per-sample energies are the full-length form the blocked estimator
+    replaced, one matvec per mean on the stacked draw (X, P); the mean and
+    the centred sum of squares are then summed exactly, as replayed_energy
+    sums them.
+    """
+    n, alpha = params.n_sites, params.alpha
+    g, h = correlation_vectors(n, alpha)
+    rest = list(unmeasured_sites(params, spec))
+    upd = general_dyne_update(ground_covariance(params), spec.measured_sites, spec.omega)
+    cq, cp = upd.conditional_covariance.q, upd.conditional_covariance.p
+    b = rest.index(target)
+    neighbor_x = np.zeros(len(spec.measured_sites))
+    constant = 0.5 * (cq[b, b] + cp[b, b]) - (0.5 * (h[0] + g[0]) - alpha * g[1])
+    for s in ((target - 1) % n, (target + 1) % n):
+        if s in rest:
+            neighbor_x += upd.gain_x[rest.index(s)]
+            constant -= (alpha / 2.0) * cq[b, rest.index(s)]
+        else:
+            neighbor_x[spec.measured_sites.index(s)] += 1.0
+    zero = np.zeros_like(neighbor_x)
+    draw = np.concatenate(sample_outcomes(outcome_distribution(params, spec), seed, n_samples), axis=1)
+    neighbors = draw @ np.concatenate([neighbor_x, zero])
+    results = []
+    for plan in plans:
+        mean_q_b = draw @ np.concatenate([upd.gain_x[b] + plan.phi, zero])
+        mean_p_b = draw @ np.concatenate([zero, upd.gain_p[b] + plan.theta])
+        energies = 0.5 * (mean_p_b**2 + mean_q_b**2) - (alpha / 2.0) * mean_q_b * neighbors + constant
+        mean = math.fsum(energies) / n_samples
+        variance = math.fsum((energies - mean) ** 2) / (n_samples - 1)
         results.append((mean, math.sqrt(variance / n_samples)))
     return results
 
@@ -364,6 +401,41 @@ class TestMonteCarloEnergy:
         for (mean, se), (ref_mean, ref_se) in zip(got, replayed_energy(params, spec, target, [plan, bumped], 2000, 29)):
             assert mean == pytest.approx(ref_mean, rel=1e-12, abs=0)
             assert se == pytest.approx(ref_se, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n_samples", [_BLOCK_ROWS - 1, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 17])
+    @pytest.mark.parametrize("n_sites, omega, measured, target", [
+        (100, 1.0, (0,), 2),
+        (8, 0.7, (0, 1, 2), 3), (8, 0.7, (0, 1, 2), 5), (8, 0.7, (0, 1), 7),
+    ])
+    def test_blocks_pool_to_the_exactly_summed_draw(self, n_sites, omega, measured, target, n_samples):
+        # Below one block, exactly one, and a ragged fourth: the pooled block moments against
+        # the whole draw's energies summed with math.fsum.
+        params = ChainParams(n_sites=n_sites, alpha=0.9, omega=omega)
+        spec = MeasurementSpec(measured_sites=measured, omega=omega)
+        plan = optimal_plan(build_quadratics(params, spec, target))
+        bumped = DisplacementPlan(theta=plan.theta * 1.3, phi=plan.phi * 0.6)
+        got = monte_carlo_energy(params, spec, target, [plan, bumped], n_samples, seed=41)
+        for (mean, se), (ref_mean, ref_se) in zip(got, fsum_energy(params, spec, target, [plan, bumped],
+                                                                   n_samples, 41)):
+            assert mean == pytest.approx(ref_mean, rel=1e-12, abs=0)
+            assert se == pytest.approx(ref_se, rel=1e-12, abs=0)
+
+    def test_traced_peak_stays_near_the_draw(self):
+        # A 10^6-sample, one-site, two-plan call: the draw (X and P, 16 MB) plus blocks, no
+        # full-length temporaries.
+        params = ChainParams(n_sites=100, alpha=0.9)
+        spec = MeasurementSpec(measured_sites=(0,))
+        plan = optimal_plan(build_quadratics(params, spec, 2))
+        bumped = DisplacementPlan(theta=plan.theta * 1.1, phi=plan.phi)
+        monte_carlo_energy(params, spec, 2, [plan, bumped], 1000, seed=1)  # fills the correlator cache
+        n_samples = 1_000_000
+        tracemalloc.start()
+        try:
+            monte_carlo_energy(params, spec, 2, [plan, bumped], n_samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * (2 * n_samples * 8)
 
     @pytest.mark.parametrize("target", [3, 5])  # 3 has a measured neighbor, 5 does not
     def test_shared_draw_equals_one_plan_calls(self, monkeypatch, target):

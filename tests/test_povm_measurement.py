@@ -14,6 +14,7 @@ from qetchain import (
     symplectic_eigenvalues,
     unmeasured_sites,
 )
+from qetchain.povm_measurement import _BLOCK_ROWS
 
 A4 = 1.0 - 1e-7
 X_COV_FROZEN = 1.2359692387847989  # g0 + 1/2 at N=4, alpha=0.9, omega=1
@@ -29,6 +30,9 @@ class TestMeasurementSpec:
     def test_rejects_bad_omega(self):
         with pytest.raises(ValueError):
             MeasurementSpec(measured_sites=(0,), omega=-1.0)
+        for omega in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="omega must be finite and positive"):
+                MeasurementSpec(measured_sites=(0,), omega=omega)
 
     def test_site_range_checked_against_params(self):
         params = ChainParams(n_sites=4, alpha=0.5)
@@ -158,6 +162,19 @@ class TestSampleOutcomes:
         xs_ref = rng.standard_normal((200_000, len(measured))) @ np.linalg.cholesky(dist.x_covariance).T
         ps_ref = rng.standard_normal((200_000, len(measured))) @ np.linalg.cholesky(dist.p_covariance).T
         xs, ps = sample_outcomes(dist, seed=1, count=200_000)
+        np.testing.assert_array_equal(xs, xs_ref)
+        np.testing.assert_array_equal(ps, ps_ref)
+
+    @pytest.mark.parametrize("count", [_BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("measured", [(0,), (0, 1), (0, 1, 2)])
+    def test_blocked_draw_equals_one_shot_form_bitwise(self, measured, count):
+        # Below one block, a one-row remainder (which a lone gemv would round differently),
+        # and a ragged last block: each bit for bit the one-shot draw.
+        dist = outcome_distribution(ChainParams(n_sites=100, alpha=0.9), MeasurementSpec(measured_sites=measured))
+        rng = np.random.default_rng(5)
+        xs_ref = rng.standard_normal((count, len(measured))) @ np.linalg.cholesky(dist.x_covariance).T
+        ps_ref = rng.standard_normal((count, len(measured))) @ np.linalg.cholesky(dist.p_covariance).T
+        xs, ps = sample_outcomes(dist, seed=5, count=count)
         np.testing.assert_array_equal(xs, xs_ref)
         np.testing.assert_array_equal(ps, ps_ref)
 
