@@ -158,6 +158,16 @@ def run_validate(config: RunConfig, stream=None) -> bool:
     return all(results)
 
 
+def _ratio_summary(ell: np.ndarray, ratio: np.ndarray) -> str:
+    """The setting-2 '# ratio:' line, over the rows whose ratio is defined (delta_E_N != 0)."""
+    finite = np.isfinite(ratio)
+    if not finite.any():
+        return "# ratio: undefined (delta_E_N = 0 at every ell)"
+    ell, ratio = ell[finite], ratio[finite]
+    return (f"# ratio: max {experiment.format_value(ratio.max())} at ell={int(ell[np.argmax(ratio)])}, "
+            f"monotone={bool(np.all(np.diff(ratio) >= -1e-12))}, below-one={bool(np.all(ratio < 1))}")
+
+
 def cli_main(argv=None) -> int:
     try:
         config = parse_config(argv)
@@ -184,10 +194,7 @@ def cli_main(argv=None) -> int:
             except OSError as exc:
                 raise ValueError(f"cannot write {config.out}: {exc.strerror}") from exc
         if config.mode == "setting2":
-            ratio = table.column("ratio")
-            ell = table.column("ell")
-            print(f"# ratio: max {experiment.format_value(ratio.max())} at ell={int(ell[np.argmax(ratio)])}, "
-                  f"monotone={bool(np.all(np.diff(ratio) >= -1e-12))}, below-one={bool(np.all(ratio < 1))}")
+            print(_ratio_summary(table.column("ell"), table.column("ratio")))
         for line in render_fit_lines(summary_fits(config, table)):
             print(line)
         return 0

@@ -78,6 +78,11 @@ class RunConfig:
             raise ValueError(f"d-max must be >= 0, got {self.d_max}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, bound in (("fit-min", self.fit_min), ("fit-max", self.fit_max)):
+            if bound is not None and np.isnan(bound):
+                raise ValueError(f"{name} must be a number, got {bound}")
+        if self.fit_min is not None and self.fit_max is not None and self.fit_min > self.fit_max:
+            raise ValueError(f"fit window is empty: fit-min {self.fit_min} > fit-max {self.fit_max}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if not self.n_list:
             raise ValueError("n-list must name at least one size")

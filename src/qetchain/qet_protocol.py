@@ -49,13 +49,16 @@ few correlators; no N x N state is built.
   one column at each end.  With m = 2 ell + 1, border u = (t_1..t_m), J the
   reversal and y = T_m^{-1} u from Durbin's recursion (two steps per ell;
   Golub and Van Loan, Matrix Computations, ch. 4), the solution of the
-  bordered system with new end entries c is [z, x - z s, z], where
-  s = y + J y and z = (c - u^T x) / (t_0 + t_{m+1} - u^T s).  That
-  denominator equals beta_m (1 + a_m), Durbin's error and reflection
-  coefficient, so each step costs O(ell), a whole sweep O(N^2) time and O(N)
-  memory.  Durbin's recursion is only weakly stable (Cybenko, SIAM J. Sci.
-  Stat. Comput. 1, 303 (1980)); the tests hold it to run_setting2 near the
-  critical point.
+  bordered system with new end entries c is [z, x - z (y + J y), z], where
+  z = (c - u^T x) / (beta_m (1 + a_m)), Durbin's error and reflection
+  coefficient.  T_m is symmetric and b palindromic, so u^T x = y^T b and
+  b^T J y = y^T b, and the form grows by a non-negative increment:
+  b'^T x' = b^T x + 2 (c - y^T b)^2 / (beta_m (1 + a_m)).  So only
+  Durbin's state is kept, no solution vector is formed, the forms never
+  decrease with ell, and each step costs O(ell), a whole sweep O(N^2) time
+  and O(N) memory.  Durbin's recursion is only weakly stable (Cybenko,
+  SIAM J. Sci. Stat. Comput. 1, 303 (1980)); the tests hold it to
+  run_setting2 near the critical point.
 
 The full-state route (ground_covariance, post_measurement_covariance,
 log_negativity, mutual_information) and the dense quadratic forms
@@ -272,86 +275,82 @@ def setting2_forms(params: ChainParams, hi: int) -> Iterator[tuple[float, float,
     """(dp, dq, jq) of run_setting2 for ell = 1..hi, in order, by one bordered recursion.
 
     dp = J^T T_p^{-1} J, dq = g_bA^T T_q^{-1} g_Ab and jq = J^T T_q^{-1} J,
-    the arguments of setting2_terms.  Each step borders the previous
-    solutions in O(ell) (module docstring) and keeps O(hi) memory; no plan
-    vector leaves the recursion.  Raises LinAlgError at the first ell where
-    T_p or T_q is found not positive definite.
+    the arguments of setting2_terms.  Each step grows every form by a
+    non-negative increment in O(ell) (module docstring) and keeps O(hi)
+    memory; no solution vector is formed.  Raises LinAlgError at the first
+    ell where T_p or T_q is found not positive definite.
     """
     half = params.n_sites // 2
     if not 0 <= hi <= half - 2:
         raise ValueError(f"hi must lie in [0, N/2 - 2] = [0, {half - 2}], got {hi}")
     g, h = correlation_vectors(params.n_sites, params.alpha)
-    # Right-hand sides h[N/2 - i] and g[N/2 - i] for i = -hi..hi.
+    # Right-hand sides h[N/2 - i] and g[N/2 - i] for i = -hi..hi, one per row.
     j, g_b = h[half - hi:half + hi + 1], g[half - hi:half + hi + 1]
     t_p = h[:2 * hi + 1].copy()
     t_p[0] += params.omega / 2.0
     t_q = g[:2 * hi + 1].copy()
     t_q[0] += 1.0 / (2.0 * params.omega)
-    p_side, q_side = _BorderedToeplitz(t_p, (j,)), _BorderedToeplitz(t_q, (j, g_b))
+    p_side, q_side = _BorderedToeplitz(t_p, j[np.newaxis]), _BorderedToeplitz(t_q, np.vstack([j, g_b]))
     for _ in range(hi):
         (dp,), (jq, dq) = p_side.grow(), q_side.grow()
         yield dp, dq, jq
 
 
 class _BorderedToeplitz:
-    """Solves T_m x = b of orders m = 1, 3, 5, ..., each bordered from the last.
+    """The forms b^T T_m^{-1} b of orders m = 1, 3, 5, ..., each grown from the last.
 
     T_m is the symmetric Toeplitz matrix with first column t[:m], and each
-    right-hand side b is a palindrome of odd length stored centred, so its
-    order-m part is the middle m entries; so is each solution x.  Durbin's
-    state is y = T_k^{-1} (t_1..t_k) and beta = t_0 - (t_1..t_k) . y, which
-    is det T_{k+1} / det T_k: T_{k+1} is positive definite (given T_k) iff
-    beta > 0.
+    row b of rhs is a palindrome of odd length stored centred, so its
+    order-m part is the middle m entries.  Only Durbin's state is kept:
+    y = T_k^{-1} (t_1..t_k), held as v = [1, -y], and
+    beta = t_0 - (t_1..t_k) . y, which is det T_{k+1} / det T_k: T_{k+1} is
+    positive definite (given T_k) iff beta > 0.  T_{k+1} v = [beta, 0..0],
+    so v / beta is the first column of T_{k+1}^{-1}.
     """
 
-    def __init__(self, t: np.ndarray, rhs: tuple[np.ndarray, ...]):
+    def __init__(self, t: np.ndarray, rhs: np.ndarray):
         if not t[0] > 0.0:
             raise np.linalg.LinAlgError(f"Toeplitz form has diagonal {t[0]:.6g} <= 0")
-        size = rhs[0].size
+        size = rhs.shape[1]
         self.t, self.rhs, self.m = t, rhs, 1
-        self.x = [np.zeros(size) for _ in rhs]
-        for b, x in zip(rhs, self.x):
-            x[size // 2] = b[size // 2] / t[0]
-        self.s = np.empty(size)
-        self.y, self.k, self.beta = np.zeros(size), 0, float(t[0])
+        self.forms = [b * b / float(t[0]) for b in rhs[:, size // 2].tolist()]
+        self.v, self.k, self.beta = np.zeros(size), 0, float(t[0])
+        self.v[0] = 1.0
 
     def _reflection(self) -> float:
-        """Durbin's coefficient a_k = (t_{k+1} - (t_1..t_k) . J y) / beta."""
+        """Durbin's coefficient a_k = (t_{k+1} - (t_1..t_k) . J y) / beta = (t_{k+1}..t_1) . v / beta."""
         k = self.k
-        return float((self.t[k + 1] - self.t[k:0:-1] @ self.y[:k]) / self.beta)
+        return float(self.t[k + 1:0:-1].dot(self.v[:k + 1])) / self.beta
 
     def _extend(self, a: float) -> None:
-        """Durbin's step to order k + 1: y <- [y - a J y, a], beta <- beta (1 - a^2)."""
-        k, y = self.k, self.y
-        y[:k] -= a * y[:k][::-1]
-        y[k] = a
+        """Durbin's step to order k + 1: y <- [y - a J y, a] and beta <- beta (1 - a^2).
+
+        In v = [1, -y] the step reads v <- [v, 0] - a J [v, 0].
+        """
+        k = self.k
+        head = self.v[1:k + 2]
+        head -= a * self.v[k::-1]  # on the view, so no copy back into v
         self.k, self.beta = k + 1, self.beta * (1.0 - a) * (1.0 + a)
         if not self.beta > 0.0:
             raise np.linalg.LinAlgError(f"Toeplitz form not positive definite at order {k + 2}")
 
     def grow(self) -> list[float]:
-        """Border every solution from order m to m + 2; returns each b^T x at the new order.
+        """Each form from order m to m + 2, grown by 2 (c - y_m^T b)^2 / (beta_m (1 + a_m)); returns them.
 
         Durbin's two steps per call take y from order m - 1 to m + 1, so
         their checks cover T_{m+1} and T_{m+2}, the new order, and nothing
-        beyond it.
+        beyond it.  Between them v = [1, -y_m], so one matvec of v with
+        [c, b_m] gives every residual c - y_m^T b.
         """
-        m, t, s = self.m, self.t, self.s
+        m = self.m
         self._extend(self._reflection())
         a = self._reflection()
-        denominator = self.beta * (1.0 + a)  # = t_0 + t_{m+1} - u^T s
+        denominator = self.beta * (1.0 + a)  # = t_0 + t_{m+1} - u^T (y + J y)
         if not denominator > 0.0:
             raise np.linalg.LinAlgError(f"Toeplitz form not positive definite at order {m + 2}")
-        lo = (s.size - m) // 2
-        up = lo + m
-        np.add(self.y[:m], self.y[m - 1::-1], out=s[lo:up])
-        u = t[1:m + 1]
-        forms = []
-        for b, x in zip(self.rhs, self.x):
-            z = (b[lo - 1] - u @ x[lo:up]) / denominator
-            x[lo:up] -= z * s[lo:up]
-            x[lo - 1] = x[up] = z
-            forms.append(float(b[lo - 1:up + 1] @ x[lo - 1:up + 1]))
+        lo = (self.rhs.shape[1] - m) // 2
+        residuals = self.rhs[:, lo - 1:lo + m].dot(self.v[:m + 1]).tolist()
+        self.forms = [form + 2.0 * r * r / denominator for form, r in zip(self.forms, residuals)]
         self._extend(a)
         self.m = m + 2
-        return forms
+        return self.forms

@@ -160,6 +160,22 @@ class TestExitCodes:
             assert out == ""
             assert f"omega must be finite and positive, got {value}" in err
 
+    @pytest.mark.parametrize("window, message", [
+        ({"fit-min": "nan"}, "fit-min must be a number, got nan"),
+        ({"fit-max": "nan"}, "fit-max must be a number, got nan"),
+        ({"fit-min": "30", "fit-max": "10"}, "fit window is empty: fit-min 30.0 > fit-max 10.0"),
+    ])
+    @pytest.mark.parametrize("mode", ["setting1", "setting2", "size-sweep"])
+    def test_bad_fit_window_fails_before_any_output(self, mode, window, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in window.items()))
+        flags = [item for key, value in window.items() for item in (f"--{key}", value)]
+        for argv in ([mode, "--n", "20", *flags], [mode, "--n", "20", "--config", str(cfg)]):
+            assert cli_main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert message in err
+
     def test_unwritable_out_names_the_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "s1.csv"
         assert cli_main(["setting1", "--n", "20", "--d-max", "3", "--threads", "1", "--out", str(out)]) == 1
@@ -297,6 +313,26 @@ class TestDeterministicOutput:
             assert len(parts) == 6
             assert parts[3] == "-"
             assert ".." in parts[5]
+
+
+class TestRatioLine:
+    def test_uncoupled_chain_has_no_ratio_to_summarize(self, capsys):
+        # At alpha = 0 no site is entangled, so delta_E_N = 0 and the ratio is NaN at every ell.
+        assert cli_main(["setting2", "--n", "20", "--alpha", "0", "--threads", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "# ratio: undefined (delta_E_N = 0 at every ell)"
+
+    def test_rows_without_a_ratio_are_left_out(self, monkeypatch, capsys):
+        import qetchain.experiment as experiment
+
+        def with_gaps(config):
+            ratio = np.array([np.nan, 0.25, np.nan, 0.5, 0.75, np.nan])
+            return experiment.SweepTable({"ell": np.arange(1, 7), "delta_E_N": np.where(np.isnan(ratio), 0.0, 1.0),
+                                          "E_B_abs": np.nan_to_num(ratio), "ratio": ratio})
+
+        monkeypatch.setattr(experiment, "sweep_setting2", with_gaps)
+        assert cli_main(["setting2", "--n", "20"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "# ratio: max 0.75 at ell=5, monotone=True, below-one=True"
 
 
 class TestValidateSuite:

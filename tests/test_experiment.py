@@ -59,6 +59,10 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="n-list"):
             RunConfig(mode="size-sweep", n_list=())
 
+    def test_one_point_fit_window_accepted(self):
+        # NaN bounds and fit_min > fit_max are rejected: tests/test_cli.py checks both routes in.
+        assert RunConfig(mode="setting1", fit_min=10.0, fit_max=10.0).fit_min == 10.0
+
 
 class TestFitPowerLaw:
     def test_recovers_exact_power_law(self):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 import qetchain
@@ -349,6 +351,43 @@ class TestBorderedRecursion:
         lines = render_csv(sweep_setting2(full)).splitlines()
         first, last = lo or 1, hi or 23
         assert render_csv(sweep_setting2(part)).splitlines() == [lines[0], *lines[first:last + 1]]
+
+    @pytest.mark.parametrize("hi", [-1, 9])
+    def test_forms_range_is_checked(self, hi):
+        with pytest.raises(ValueError, match=rf"^hi must lie in \[0, N/2 - 2\] = \[0, 8\], got {hi}$"):
+            next(setting2_forms(ChainParams(n_sites=20, alpha=0.9), hi))
+
+    def test_no_forms_below_the_first_block(self):
+        assert list(setting2_forms(ChainParams(n_sites=20, alpha=0.9), 0)) == []
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, A1, A4])
+    @pytest.mark.parametrize("n", [6, 8, 20, 64])
+    def test_forms_match_dense_solves(self, n, alpha):
+        # The dense centred block: T = toeplitz(t[:2 ell + 1]) plus the
+        # detector noise, right-hand sides h[N/2 - i] and g[N/2 - i] for
+        # i = -ell..ell.  Measured worst relative difference 2.5e-14.
+        g, h = correlation_vectors(n, alpha)
+        half = n // 2
+        for omega in (0.5, 1.0, 2.0):
+            forms = list(setting2_forms(ChainParams(n_sites=n, alpha=alpha, omega=omega), half - 2))
+            assert len(forms) == half - 2
+            for ell, form in enumerate(forms, start=1):
+                size = 2 * ell + 1
+                t_p = toeplitz(h[:size]) + (omega / 2) * np.eye(size)
+                t_q = toeplitz(g[:size]) + np.eye(size) / (2 * omega)
+                j, g_b = h[half - ell:half + ell + 1], g[half - ell:half + ell + 1]
+                dense = (j @ np.linalg.solve(t_p, j), g_b @ np.linalg.solve(t_q, g_b), j @ np.linalg.solve(t_q, j))
+                for got, ref in zip(form, dense, strict=True):
+                    assert abs(got - ref) <= 1e-12 * abs(ref), (omega, ell, form, dense)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 150).map(lambda k: 2 * k), alpha=st.floats(0.0, 1.0 - 1e-7),
+           omega=st.floats(0.05, 20.0))
+    def test_forms_never_decrease_with_the_block(self, n, alpha, omega):
+        # Each step adds 2 (c - y^T b)^2 / (beta (1 + a)) >= 0 to every form.
+        forms = np.array(list(setting2_forms(ChainParams(n_sites=n, alpha=alpha, omega=omega), n // 2 - 2)))
+        assert forms.shape == (n // 2 - 2, 3)
+        assert np.all(np.diff(forms, axis=0) >= 0.0)
 
     @staticmethod
     def _plant_t_q_positive_definite_to_order_5(monkeypatch):
