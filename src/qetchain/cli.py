@@ -56,12 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", help="coupling: preset a1=0.90, a2=0.95, a3=0.99, a4=1-1e-7, or a number")
         p.add_argument("--omega", type=float, help=f"measurement frequency (default {RunConfig.omega})")
         p.add_argument("--config", help="key = value file; command-line flags win")
+        if name in experiment.FITS:  # the modes that print fit lines, with their default windows
+            x, (lo, hi), _ = experiment.FITS[name]
+            p.add_argument("--fit-min", type=float, help=f"smallest {x} fitted (default {lo:g})")
+            hi = "the largest N of --n-list" if hi is None else f"{hi:g}"
+            p.add_argument("--fit-max", type=float, help=f"largest {x} fitted (default {hi})")
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
 
     sweep_flags = (("--threads", dict(type=int, help="accepted, >= 0, and changes no sweep: every sweep "
                                                      f"runs in one thread (default {RunConfig.threads})")),
-                   ("--fit-min", dict(type=float)), ("--fit-max", dict(type=float)),
                    ("--out", dict(help="CSV output path")))
     mode("setting1", "separation sweep with single-site groups",
          ("--d-max", dict(type=int, help=f"largest separation (default {RunConfig.d_max})")), *sweep_flags)
@@ -158,16 +162,6 @@ def run_validate(config: RunConfig, stream=None) -> bool:
     return all(results)
 
 
-def _ratio_summary(ell: np.ndarray, ratio: np.ndarray) -> str:
-    """The setting-2 '# ratio:' line, over the rows whose ratio is defined (delta_E_N != 0)."""
-    finite = np.isfinite(ratio)
-    if not finite.any():
-        return "# ratio: undefined (delta_E_N = 0 at every ell)"
-    ell, ratio = ell[finite], ratio[finite]
-    return (f"# ratio: max {experiment.format_value(ratio.max())} at ell={int(ell[np.argmax(ratio)])}, "
-            f"monotone={bool(np.all(np.diff(ratio) >= -1e-12))}, below-one={bool(np.all(ratio < 1))}")
-
-
 def cli_main(argv=None) -> int:
     try:
         config = parse_config(argv)
@@ -194,7 +188,7 @@ def cli_main(argv=None) -> int:
             except OSError as exc:
                 raise ValueError(f"cannot write {config.out}: {exc.strerror}") from exc
         if config.mode == "setting2":
-            print(_ratio_summary(table.column("ell"), table.column("ratio")))
+            print(experiment.ratio_summary(table))
         for line in render_fit_lines(summary_fits(config, table)):
             print(line)
         return 0

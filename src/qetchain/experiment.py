@@ -51,6 +51,20 @@ def resolve_alpha(value) -> float:
     return float(value)
 
 
+# Every fit line, read by RunConfig, summary_fits and the CLI's fit flags: per mode (x column, default window
+# with None for the largest N of n_list, per quantity (name, source column, fit |y|, tail-mean offset)).
+FITS = {
+    "setting1": ("d", (10.0, 40.0), (("E_B_abs", "E_B_opt", True, False), ("delta_S_M", "delta_S_M", False, False))),
+    "size-sweep": ("N", (40.0, None), (("delta_E_N", "delta_E_N", False, False), ("E_B_abs", "E_B_abs", False, True),
+                                       ("beta", "beta", False, False))),
+}
+
+
+def _in_fit_window(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The points a fit reads: lo <= x <= hi, and x > 0 for the logarithm."""
+    return (x >= lo) & (x <= hi) & (x > 0)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One sweep invocation: mode, model parameters, grid bounds, fit window."""
@@ -78,14 +92,28 @@ class RunConfig:
             raise ValueError(f"d-max must be >= 0, got {self.d_max}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name, bound in (("fit-min", self.fit_min), ("fit-max", self.fit_max)):
-            if bound is not None and np.isnan(bound):
-                raise ValueError(f"{name} must be a number, got {bound}")
-        if self.fit_min is not None and self.fit_max is not None and self.fit_min > self.fit_max:
-            raise ValueError(f"fit window is empty: fit-min {self.fit_min} > fit-max {self.fit_max}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if not self.n_list:
             raise ValueError("n-list must name at least one size")
+        if self.fit_min is None and self.fit_max is None:
+            return
+        if self.mode not in FITS:
+            raise ValueError(f"{self.mode} fits nothing, so it takes no fit-min or fit-max")
+        (lo, hi), bounds = self.fit_window(), []
+        for name, bound, given in (("fit-min", lo, self.fit_min), ("fit-max", hi, self.fit_max)):
+            if np.isnan(bound):
+                raise ValueError(f"{name} must be a number, got {bound}")
+            bounds.append(f"{name} {bound}" + ("" if given is not None else f" ({self.mode} default)"))
+        grid = np.arange(self.d_max + 1) if FITS[self.mode][0] == "d" else np.array(self.n_list)
+        if (count := int(np.count_nonzero(_in_fit_window(grid, lo, hi)))) < 3:
+            raise ValueError("fit window is empty: {} > {}".format(*bounds) if lo > hi else
+                             "fit window holds {} grid points, a fit needs 3: {}, {}".format(count, *bounds))
+
+    def fit_window(self) -> tuple[float, float]:
+        """(lo, hi) of the fits: fit-min and fit-max, each taking FITS' default for the mode when not given."""
+        lo, hi = FITS[self.mode][1]
+        hi = float(max(self.n_list)) if hi is None else hi
+        return (lo if self.fit_min is None else self.fit_min), (hi if self.fit_max is None else self.fit_max)
 
     def params(self, n_sites: int | None = None) -> ChainParams:
         return ChainParams(n_sites=n_sites or self.n_sites, alpha=self.alpha, omega=self.omega)
@@ -233,29 +261,30 @@ def fit_power_law(points, with_offset: bool = False) -> PowerLawFit:
 
 
 def summary_fits(config: RunConfig, table: SweepTable) -> list[tuple[str, PowerLawFit | str]]:
-    """Named fits for the sweep, or a reason string when a fit is not defined."""
-    if config.mode == "setting1":
-        x_col, lo, hi = "d", 10.0, 40.0
-        specs = (("E_B_abs", np.abs(table.column("E_B_opt")), False),
-                 ("delta_S_M", table.column("delta_S_M"), False))
-    elif config.mode == "size-sweep":
-        x_col, lo, hi = "N", 40.0, float(max(config.n_list))
-        specs = (("delta_E_N", table.column("delta_E_N"), False),
-                 ("E_B_abs", table.column("E_B_abs"), True),
-                 ("beta", table.column("beta"), False))
-    else:
+    """The fits of the mode's FITS entry over config.fit_window(), or a reason string when a fit is not defined."""
+    if config.mode not in FITS:
         return []
-    lo = lo if config.fit_min is None else config.fit_min
-    hi = hi if config.fit_max is None else config.fit_max
-    x = table.column(x_col).astype(float)
-    keep = (x >= lo) & (x <= hi) & (x > 0)
+    x_column, _, quantities = FITS[config.mode]
+    x = table.column(x_column).astype(float)
+    keep = _in_fit_window(x, *config.fit_window())
     out: list[tuple[str, PowerLawFit | str]] = []
-    for name, y, with_offset in specs:
+    for name, column, absolute, with_offset in quantities:
+        y = table.column(column)[keep]
         try:
-            out.append((name, fit_power_law(np.column_stack([x[keep], y[keep]]), with_offset)))
+            out.append((name, fit_power_law(np.column_stack([x[keep], np.abs(y) if absolute else y]), with_offset)))
         except ValueError as exc:
             out.append((name, f"aborted: {exc}"))
     return out
+
+
+def ratio_summary(table: SweepTable) -> str:
+    """The setting-2 '# ratio:' line, over the rows whose ratio is defined (delta_E_N != 0)."""
+    finite = np.isfinite(table.column("ratio"))
+    if not finite.any():
+        return "# ratio: undefined (delta_E_N = 0 at every ell)"
+    ell, ratio = (table.column(name)[finite] for name in ("ell", "ratio"))
+    return (f"# ratio: max {format_value(ratio.max())} at ell={int(ell[np.argmax(ratio)])}, "
+            f"monotone={bool(np.all(np.diff(ratio) >= -1e-12))}, below-one={bool(np.all(ratio < 1))}")
 
 
 def format_value(value) -> str:

@@ -60,6 +60,32 @@ few correlators; no N x N state is built.
   SIAM J. Sci. Stat. Comput. 1, 303 (1980)); the tests hold it to
   run_setting2 near the critical point.
 
+The entanglement consumed in setting 2 bounds the energy extracted:
+delta E_N >= c |E_opt|, with x = 2 nu_0 and
+
+    c = 2 arcsinh(1/2) / ((1 + omega sqrt(1 + alpha)) x sqrt(x^2 - 1) h_0 ln 2),
+
+in three steps on the quantities setting2_terms reads.
+
+1. jq <= omega sqrt(1 + alpha) dp.  H and G have eigenvalues omega_k / 2
+   and 1 / (2 omega_k), so by Cauchy interlacing T_p <= (sqrt(1 + alpha)
+   + omega) / 2 and T_q >= (1 / sqrt(1 + alpha) + 1 / omega) / 2, and
+   jq / dp <= lambda_max(T_p) / lambda_min(T_q) = omega sqrt(1 + alpha).
+2. shrink = 4 (g_0 dp + h_0 dq - dq dp) >= dp / h_0.  The shrink is at
+   least 4 dp (g_0 - dq), and the target stays physical after the
+   measurement, (g_0 - dq)(h_0 - dp) >= 1/4, so g_0 - dq >= 1 / (4 h_0).
+3. delta E_N >= 2 arcsinh(1/2) shrink / (2 x sqrt(x^2 - 1) ln 2).  As
+   y <= x, the denominator of setting2_terms is at most 2 x sqrt(x^2 - 1),
+   so the arcsinh argument is at least z = shrink / (2 x sqrt(x^2 - 1)),
+   and z <= sqrt(x^2 - 1) / (2 x) < 1/2 because shrink <= x^2 - 1.
+   arcsinh is concave on z >= 0, so arcsinh z >= 2 arcsinh(1/2) z there.
+
+With |E_opt| = (dp + jq) / 2 <= (1 + omega sqrt(1 + alpha)) h_0 shrink / 2
+the steps combine into the bound.  Far from the critical point at small
+omega it is nearly tight (alpha = 0.3, omega = 0.01, N = 100: the largest
+|E_opt| / delta E_N is 0.0377 against 1 / c = 0.0398); near the critical
+point and at large omega it is loose.
+
 The full-state route (ground_covariance, post_measurement_covariance,
 log_negativity, mutual_information) and the dense quadratic forms
 (build_quadratics, optimal_plan, optimized_energy) stay in the package as

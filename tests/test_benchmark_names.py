@@ -32,7 +32,8 @@ def test_names_the_benchmark_scripts_import_resolve():
     pinned = {
         "qetchain": ("ChainParams", "run_setting1", "ground_covariance", "symplectic_eigenvalues"),
         "qetchain.cli": ("correlation_vectors", "run_validate"),
-        "qetchain.experiment": ("run_setting2", "ALPHA_PRESETS", "RunConfig", "render_csv"),
+        "qetchain.experiment": ("run_setting2", "ALPHA_PRESETS", "RunConfig", "render_csv", "summary_fits",
+                                "render_fit_lines"),
     }
     missing = [f"{module}.{attr}" for module, attrs in pinned.items() for attr in attrs
                if not hasattr(importlib.import_module(module), attr)]

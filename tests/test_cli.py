@@ -134,7 +134,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "d=3" in err and "non-finite cell" in err
 
-    @pytest.mark.parametrize("args", [["validate", "--threads", "1"], ["setting1", "--seed", "1"]])
+    @pytest.mark.parametrize("args", [["validate", "--threads", "1"], ["setting1", "--seed", "1"],
+                                      ["setting2", "--fit-min", "3"]])
     def test_flag_the_mode_never_reads_is_rejected(self, args, capsys):
         assert cli_main(args) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -165,7 +166,7 @@ class TestExitCodes:
         ({"fit-max": "nan"}, "fit-max must be a number, got nan"),
         ({"fit-min": "30", "fit-max": "10"}, "fit window is empty: fit-min 30.0 > fit-max 10.0"),
     ])
-    @pytest.mark.parametrize("mode", ["setting1", "setting2", "size-sweep"])
+    @pytest.mark.parametrize("mode", ["setting1", "size-sweep"])
     def test_bad_fit_window_fails_before_any_output(self, mode, window, message, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in window.items()))
@@ -175,6 +176,43 @@ class TestExitCodes:
             out, err = capsys.readouterr()
             assert out == ""
             assert message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["setting1", "--n", "100", "--fit-min", "50"],
+         "fit window is empty: fit-min 50.0 > fit-max 40.0 (setting1 default)"),
+        (["size-sweep", "--alpha", "a4", "--n-list", "20,40,60,80,100", "--fit-max", "30"],
+         "fit window is empty: fit-min 40.0 (size-sweep default) > fit-max 30.0"),
+        (["setting1", "--n", "100", "--fit-min", "39"],
+         "fit window holds 2 grid points, a fit needs 3: fit-min 39.0, fit-max 40.0 (setting1 default)"),
+        (["setting1", "--n", "100", "--fit-max", "2"],
+         "fit window is empty: fit-min 10.0 (setting1 default) > fit-max 2.0"),
+        (["setting1", "--n", "100", "--fit-min", "0", "--fit-max", "2"],
+         "fit window holds 2 grid points, a fit needs 3: fit-min 0.0, fit-max 2.0"),
+        (["size-sweep", "--alpha", "a4", "--n-list", "20,40,60,80,100", "--fit-min", "70"],
+         "fit window holds 2 grid points, a fit needs 3: fit-min 70.0, fit-max 100.0 (size-sweep default)"),
+        (["size-sweep", "--alpha", "a4", "--n-list", "20,40,60,80,100", "--fit-max", "50"],
+         "fit window holds 1 grid points, a fit needs 3: fit-min 40.0 (size-sweep default), fit-max 50.0"),
+        (["setting1", "--n", "100", "--fit-min", "38"], None),
+        (["setting1", "--n", "100", "--fit-max", "12"], None),
+        (["size-sweep", "--alpha", "a4", "--n-list", "20,40,60,80,100", "--fit-min", "60"], None),
+        (["size-sweep", "--alpha", "a4", "--n-list", "20,40,60,80,100", "--fit-max", "80"], None),
+    ])
+    def test_half_given_fit_window_is_checked_against_the_grid(self, argv, message, tmp_path, capsys):
+        # The bound not given takes the mode's default; a window left with fewer than 3 grid points fails.
+        flags = [i for i, arg in enumerate(argv) if arg.startswith("--fit-")]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{argv[i][2:]} = {argv[i + 1]}\n" for i in flags))
+        rest = [arg for i, arg in enumerate(argv) if i not in flags and i - 1 not in flags]
+        for args in (argv, rest + ["--config", str(cfg)]):
+            code = cli_main(args)
+            out, err = capsys.readouterr()
+            if message is None:
+                assert code == 0, err
+                assert "aborted" not in out and len(out.splitlines()) == {"setting1": 2, "size-sweep": 3}[argv[0]]
+            else:
+                assert code == 1
+                assert out == ""
+                assert message in err
 
     def test_unwritable_out_names_the_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "s1.csv"
@@ -253,16 +291,17 @@ class TestConfigFile:
 # One value per flag, each different from the RunConfig default.
 FLAG_VALUES = {
     "n": "24", "alpha": "a2", "omega": "1.5", "seed": "9", "threads": "2", "d-max": "7",
-    "ell-min": "2", "ell-max": "5", "n-list": "8,10,12", "fit-min": "3", "fit-max": "9", "out": "x.csv",
+    "ell-min": "2", "ell-max": "5", "n-list": "8,10,12", "fit-min": "3", "fit-max": "12", "out": "x.csv",
 }
 
 
 # Each mode's flags, which are also its config keys: a mode takes only what it reads.
-SWEEP_KEYS = {"n", "alpha", "omega", "threads", "fit-min", "fit-max", "out"}
+SWEEP_KEYS = {"n", "alpha", "omega", "threads", "out"}
+FIT_KEYS = {"fit-min", "fit-max"}
 MODE_KEYS = {
-    "setting1": SWEEP_KEYS | {"d-max"},
+    "setting1": SWEEP_KEYS | FIT_KEYS | {"d-max"},
     "setting2": SWEEP_KEYS | {"ell-min", "ell-max"},
-    "size-sweep": SWEEP_KEYS | {"n-list"},
+    "size-sweep": SWEEP_KEYS | FIT_KEYS | {"n-list"},
     "validate": {"n", "alpha", "omega", "seed"},
 }
 

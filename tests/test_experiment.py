@@ -24,7 +24,7 @@ from qetchain import (
     sweep_setting2,
     sweep_size,
 )
-from qetchain.experiment import SweepTable, format_value, render_csv
+from qetchain.experiment import FITS, SweepTable, format_value, ratio_summary, render_csv, summary_fits
 from qetchain.gaussian_state import _entropy_terms
 
 A4 = ALPHA_PRESETS["a4"]
@@ -59,9 +59,87 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="n-list"):
             RunConfig(mode="size-sweep", n_list=())
 
-    def test_one_point_fit_window_accepted(self):
-        # NaN bounds and fit_min > fit_max are rejected: tests/test_cli.py checks both routes in.
-        assert RunConfig(mode="setting1", fit_min=10.0, fit_max=10.0).fit_min == 10.0
+    def test_one_point_fit_window_rejected(self):
+        # NaN bounds, empty and too small windows: tests/test_cli.py checks both routes in.
+        with pytest.raises(ValueError, match="fit window holds 1 grid points, a fit needs 3"):
+            RunConfig(mode="setting1", fit_min=10.0, fit_max=10.0)
+        assert RunConfig(mode="setting1", fit_min=10.0, fit_max=12.0).fit_window() == (10.0, 12.0)
+
+    @pytest.mark.parametrize("mode", ["setting2", "validate"])
+    @pytest.mark.parametrize("bound", ["fit_min", "fit_max"])
+    def test_fit_bound_rejected_where_nothing_is_fitted(self, mode, bound):
+        with pytest.raises(ValueError, match=f"{mode} fits nothing"):
+            RunConfig(mode=mode, **{bound: 3.0})
+
+    def test_window_bounds_not_given_come_from_the_fit_table(self):
+        assert RunConfig(mode="setting1").fit_window() == FITS["setting1"][1] == (10.0, 40.0)
+        assert RunConfig(mode="setting1", fit_max=20.0).fit_window() == (10.0, 20.0)
+        assert RunConfig(mode="size-sweep", n_list=(20, 60, 200)).fit_window() == (40.0, 200.0)
+        assert RunConfig(mode="size-sweep", n_list=(20, 60, 200), fit_min=20.0).fit_window() == (20.0, 200.0)
+
+    def test_default_window_is_not_checked(self):
+        # Too few points in a default window abort the fit lines instead (summary_fits).
+        assert RunConfig(mode="setting1", d_max=5).fit_window() == (10.0, 40.0)
+        assert RunConfig(mode="size-sweep", n_list=(6, 8, 10)).fit_window() == (40.0, 10.0)
+
+
+class TestSummaryFits:
+    """summary_fits on tables of exact power laws, so each fit's exponent is known."""
+
+    D = np.arange(0, 51)
+
+    def setting1_table(self, delta_s_sign=1.0):
+        x = np.maximum(self.D, 1).astype(float)
+        return SweepTable({"d": self.D, "E_B_opt": -3.0 * x**-2.5, "delta_S_M": delta_s_sign * 2.0 * x**-0.5})
+
+    def test_setting1_fits_abs_energy_inside_the_window(self):
+        fits = dict(summary_fits(RunConfig(mode="setting1", d_max=50), self.setting1_table()))
+        assert list(fits) == ["E_B_abs", "delta_S_M"]
+        for name, amplitude, exponent in (("E_B_abs", 3.0, -2.5), ("delta_S_M", 2.0, -0.5)):
+            assert fits[name].amplitude == pytest.approx(amplitude, rel=1e-12)
+            assert fits[name].exponent == pytest.approx(exponent, rel=1e-12)
+            assert fits[name].window == (10.0, 40.0) and fits[name].offset is None
+        narrow = dict(summary_fits(RunConfig(mode="setting1", d_max=50, fit_min=20.0), self.setting1_table()))
+        assert narrow["E_B_abs"].window == (20.0, 40.0)
+        assert narrow["E_B_abs"].exponent == pytest.approx(-2.5, rel=1e-12)
+
+    def test_setting1_takes_no_abs_of_delta_s_m(self):
+        fits = dict(summary_fits(RunConfig(mode="setting1"), self.setting1_table(delta_s_sign=-1.0)))
+        assert fits["delta_S_M"] == "aborted: non-positive values after offset subtraction; fit aborted"
+        assert fits["E_B_abs"].exponent == pytest.approx(-2.5, rel=1e-12)
+
+    def test_size_sweep_offset_only_on_the_energy(self):
+        n = np.arange(20, 201, 20)
+        table = SweepTable({"N": n, "delta_E_N": 8.0 * n**-0.3, "E_B_abs": 5.0 * n**-2.0 + 2e-3, "beta": 0.1 * n**0.3})
+        fits = dict(summary_fits(RunConfig(mode="size-sweep", n_list=tuple(n)), table))
+        assert list(fits) == ["delta_E_N", "E_B_abs", "beta"]
+        assert fits["delta_E_N"].exponent == pytest.approx(-0.3, rel=1e-12) and fits["delta_E_N"].offset is None
+        assert fits["beta"].exponent == pytest.approx(0.3, rel=1e-12) and fits["beta"].offset is None
+        assert fits["delta_E_N"].window == (40.0, 200.0)
+        points = np.column_stack([n[1:], table.column("E_B_abs")[1:]])
+        assert fits["E_B_abs"] == fit_power_law(points, with_offset=True)
+        assert fits["E_B_abs"].offset is not None
+
+    def test_setting2_has_no_fits(self):
+        table = SweepTable({"ell": [1, 2, 3], "delta_E_N": [1.0, 0.5, 0.25], "E_B_abs": [0.5, 0.2, 0.1],
+                            "ratio": [0.5, 0.4, 0.4]})
+        assert summary_fits(RunConfig(mode="setting2"), table) == []
+
+
+class TestRatioSummary:
+    @staticmethod
+    def table(ratio):
+        ratio = np.array(ratio, dtype=float)
+        return SweepTable({"ell": np.arange(1, len(ratio) + 1), "ratio": ratio})
+
+    def test_flags_read_the_defined_rows(self):
+        assert ratio_summary(self.table([0.5, np.nan, 1.2, 0.9])) == (
+            "# ratio: max 1.2 at ell=3, monotone=False, below-one=False")
+        assert ratio_summary(self.table([0.25, 0.5, 0.5 - 1e-13])) == (
+            "# ratio: max 0.5 at ell=2, monotone=True, below-one=True")
+
+    def test_no_defined_row(self):
+        assert ratio_summary(self.table([np.nan, np.nan])) == "# ratio: undefined (delta_E_N = 0 at every ell)"
 
 
 class TestFitPowerLaw:
