@@ -44,15 +44,15 @@ def build_parser() -> argparse.ArgumentParser:
     """Top-level parser; parser.modes maps each subcommand name to its subparser.
 
     A flag left unset stays out of the parsed namespace, so RunConfig supplies every default.
+    Flags match only in full, as config keys do: an abbreviation would let a flag a mode does
+    not take pass as one it does (size-sweep --n as --n-list).
     """
     parser = _Parser(prog="qetchain", description="Harmonic-chain energy-teleportation sweeps")
     sub = parser.add_subparsers(dest="mode", required=True)
     parser.modes = sub.choices
 
     def mode(name, summary, *flags):
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        p.add_argument("--n", dest="n_sites", type=int, metavar="N",
-                       help=f"chain size (even, >= 4; default {RunConfig.n_sites})")
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         p.add_argument("--alpha", help="coupling: preset a1=0.90, a2=0.95, a3=0.99, a4=1-1e-7, or a number")
         p.add_argument("--omega", type=float, help=f"measurement frequency (default {RunConfig.omega})")
         p.add_argument("--config", help="key = value file; command-line flags win")
@@ -64,16 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
 
-    sweep_flags = (("--threads", dict(type=int, help="accepted, >= 0, and changes no sweep: every sweep "
-                                                     f"runs in one thread (default {RunConfig.threads})")),
-                   ("--out", dict(help="CSV output path")))
-    mode("setting1", "separation sweep with single-site groups",
-         ("--d-max", dict(type=int, help=f"largest separation (default {RunConfig.d_max})")), *sweep_flags)
-    mode("setting2", "measured-block-size sweep at fixed N",
-         ("--ell-min", dict(type=int)), ("--ell-max", dict(type=int)), *sweep_flags)
+    n_flag = ("--n", dict(dest="n_sites", type=int, metavar="N",
+                          help=f"chain size (even, >= 4; default {RunConfig.n_sites})"))
+    out_flag = ("--out", dict(help="CSV output path"))
+    mode("setting1", "separation sweep with single-site groups", n_flag,
+         ("--d-max", dict(type=int, help=f"largest separation (default {RunConfig.d_max})")), out_flag)
+    mode("setting2", "measured-block-size sweep at fixed N", n_flag,
+         ("--ell-min", dict(type=int)), ("--ell-max", dict(type=int)), out_flag)
     mode("size-sweep", "system-size sweep at ell = N/2 - 2",
-         ("--n-list", dict(type=_parse_n_list, help="comma-separated even sizes")), *sweep_flags)
-    mode("validate", "run the oracle cross-check suite",
+         ("--n-list", dict(type=_parse_n_list, help="comma-separated even sizes")), out_flag)
+    mode("validate", "run the oracle cross-check suite", n_flag,
          ("--seed", dict(type=int, help=f"seed for sampled checks (default {RunConfig.seed})")))
     return parser
 
@@ -131,7 +131,8 @@ def _validate_checks(config: RunConfig, params):
     yield "virial-identity", dev < 1e-12, f"max |h0 - g0 + alpha g1| = {dev:.2e}"
     dev = invariants.purity_deviation(ground_covariance(params))
     yield "ground-state-purity", dev < 1e-9, f"max |nu - 1/2| = {dev:.2e}"
-    dev = invariants.unmeasured_purity_deviation(params, MeasurementSpec(measured_sites=(0,), omega=params.omega))
+    site_0 = MeasurementSpec(measured_sites=(0,))  # the frequency is each chain's own omega
+    dev = invariants.unmeasured_purity_deviation(params, site_0)
     yield "post-measurement-purity", dev < 1e-8, f"max |nu - 1/2| = {dev:.2e}"
     dev = invariants.general_dyne_deviation((4, 6, 8, 12), (0.0, 0.5, 0.9, 0.99), (0.5, 1.0, 2.0),
                                             ((0,), (0, 1), (0, 2)))
@@ -142,9 +143,8 @@ def _validate_checks(config: RunConfig, params):
     dev = invariants.fock_negativity_deviation(fock, 0.9)
     yield "fock-negativity", dev < 1e-3, f"|E_N fock - E_N gaussian| = {dev:.2e}"
     mc_params = ChainParams(n_sites=100, alpha=0.9, omega=config.omega)
-    mc_spec = MeasurementSpec(measured_sites=(0,), omega=config.omega)
     analytic, [(mean, se), (mean_b, se_b)] = invariants.sampled_plan_energies(
-        mc_params, mc_spec, 2, ((1.0, 1.0, config.seed), (1.1, 1.0, config.seed)), 200_000)
+        mc_params, site_0, 2, ((1.0, 1.0, config.seed), (1.1, 1.0, config.seed)), 200_000)
     yield ("monte-carlo-energy", abs(mean - analytic) <= 3 * se,
            f"analytic {analytic:.4e}, sampled {mean:.4e} +- {se:.1e}")
     yield ("perturbed-plan-not-better", mean_b >= analytic - 3 * se_b,

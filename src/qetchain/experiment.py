@@ -10,8 +10,8 @@ One setting1_columns call evaluates every separation of setting 1.
 Setting 2 collects the forms of one sequential bordered recursion over ell
 and evaluates setting2_terms once on them; a size-sweep row is the last
 form of that recursion at ell = N/2 - 2, so no sweep needs scipy.  Every
-sweep runs in one thread: RunConfig.threads is accepted and changes no
-sweep.
+sweep runs in one thread; RunConfig.threads is read only by the benchmark
+harness, which records it, and no CLI flag sets it.
 """
 
 from __future__ import annotations
@@ -223,12 +223,14 @@ def fit_power_law(points, with_offset: bool = False) -> PowerLawFit:
 
     Without offset: straight line through (ln x, ln y).  With offset: the
     tail (last 10% of points by x, at least one) estimates the additive
-    floor as its mean y; the remaining points are fit after subtracting it.
-    Raises ValueError when any residual to be logged is non-positive.
+    floor as its mean y; the remaining points, at least 3, are fit after
+    subtracting it.  Raises ValueError when any residual to be logged is
+    non-positive.
     """
     pts = np.asarray(points, dtype=float).reshape(len(points), 2)  # ValueError unless (x, y) pairs
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points, got {len(pts)}")
+    tail = max(1, round(0.1 * len(pts))) if with_offset else 0
+    if len(pts) - tail < 3:
+        raise ValueError(f"need at least {3 + tail} points, got {len(pts)}")
     x, y = pts[np.argsort(pts[:, 0])].T
     if np.any(x <= 0):
         raise ValueError("abscissae must be positive")
@@ -236,7 +238,6 @@ def fit_power_law(points, with_offset: bool = False) -> PowerLawFit:
 
     offset = None
     if with_offset:
-        tail = max(1, round(0.1 * len(pts)))
         offset = float(np.mean(y[-tail:]))
         x, y = x[:-tail], y[:-tail] - offset
     if np.any(y <= 0):

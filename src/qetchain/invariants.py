@@ -63,13 +63,11 @@ def general_dyne_deviation(sizes, alphas, omegas, groups) -> float:
     for n in sizes:
         ground = {alpha: ground_covariance(ChainParams(n_sites=n, alpha=alpha)) for alpha in alphas}
         for measured in groups:
-            points = [(ChainParams(n_sites=n, alpha=alpha, omega=omega),
-                       MeasurementSpec(measured_sites=measured, omega=omega)) for alpha, omega in product(alphas, omegas)]
-            rest = {unmeasured_sites(*point) for point in points}.pop()  # one N and one group: one complement
-            sites = list(measured) + list(rest)
-            q = np.stack([ground[params.alpha].q for params, _ in points])
-            p = np.stack([ground[params.alpha].p for params, _ in points])
-            omega = np.array([spec.omega for _, spec in points])
+            points = [ChainParams(n_sites=n, alpha=alpha, omega=omega) for alpha, omega in product(alphas, omegas)]
+            sites = list(measured) + list(unmeasured_sites(points[0], MeasurementSpec(measured_sites=measured)))
+            q = np.stack([ground[params.alpha].q for params in points])
+            p = np.stack([ground[params.alpha].p for params in points])
+            omega = np.array([params.omega for params in points])
             m = _schur_complement(p[:, sites][:, :, sites], len(measured), omega)  # [[L, K], [K^T, H_u]] per point
             cond_q, cond_p, _, _ = _condition_sectors(q, p, measured, omega)
             dev = max(dev, float(np.abs(_symmetrized(cond_q) - quarter_inverse(m)).max()),

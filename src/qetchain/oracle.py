@@ -147,7 +147,7 @@ def monte_carlo_energy(
     if target_site not in rest:
         raise ValueError(f"target site {target_site} is not unmeasured")
     pos = {s: i for i, s in enumerate(rest)}
-    upd = general_dyne_update(ground_covariance(params), spec.measured_sites, spec.omega)
+    upd = general_dyne_update(ground_covariance(params), spec.measured_sites, params.omega)
     cond = upd.conditional_covariance
 
     b = pos[target_site]

@@ -31,10 +31,9 @@ _BLOCK_ROWS = 8192
 
 @dataclass(frozen=True)
 class MeasurementSpec:
-    """Sites hit by the coherent-state POVM, plus its oscillator frequency."""
+    """Sites hit by the coherent-state POVM; its oscillator frequency is ChainParams.omega."""
 
     measured_sites: tuple[int, ...]
-    omega: float = 1.0
 
     def __post_init__(self):
         sites = tuple(int(s) for s in self.measured_sites)
@@ -42,8 +41,6 @@ class MeasurementSpec:
             raise ValueError("measured_sites must be non-empty")
         if len(set(sites)) != len(sites):
             raise ValueError(f"measured_sites contains duplicates: {sites}")
-        if not 0.0 < self.omega < np.inf:  # NaN fails both comparisons
-            raise ValueError(f"omega must be finite and positive, got {self.omega}")
         object.__setattr__(self, "measured_sites", sites)
 
 
@@ -77,7 +74,7 @@ def build_m_matrix(params: ChainParams, spec: MeasurementSpec) -> np.ndarray:
     a = len(spec.measured_sites)
     sites = list(spec.measured_sites) + list(unmeasured_sites(params, spec))
     _, h = correlation_submatrices(params, sites, sites)  # [[L, K], [K^T, H_u]]
-    return _schur_complement(h, a, spec.omega)
+    return _schur_complement(h, a, params.omega)
 
 
 def _schur_complement(h: np.ndarray, a: int, omega) -> np.ndarray:
@@ -116,8 +113,8 @@ def post_measurement_covariance(params: ChainParams, spec: MeasurementSpec) -> C
     n = params.n_sites
     q, p = np.zeros((n, n)), np.zeros((n, n))
     meas = list(spec.measured_sites)
-    q[meas, meas] = 1.0 / (2.0 * spec.omega)
-    p[meas, meas] = spec.omega / 2.0
+    q[meas, meas] = 1.0 / (2.0 * params.omega)
+    p[meas, meas] = params.omega / 2.0
     rest = unmeasured_sites(params, spec)
     block = np.ix_(rest, rest)
     q[block] = quarter_inverse(m)
@@ -132,8 +129,8 @@ def outcome_distribution(params: ChainParams, spec: MeasurementSpec) -> OutcomeD
     c_block, l_block = correlation_submatrices(params, meas, meas)
     eye = np.eye(len(meas))
     return OutcomeDistribution(
-        x_covariance=c_block + eye / (2.0 * spec.omega),
-        p_covariance=l_block + (spec.omega / 2.0) * eye,
+        x_covariance=c_block + eye / (2.0 * params.omega),
+        p_covariance=l_block + (params.omega / 2.0) * eye,
     )
 
 

@@ -160,8 +160,8 @@ def build_quadratics(params: ChainParams, spec: MeasurementSpec, target_site: in
     meas = list(spec.measured_sites)
     g, h = correlation_submatrices(params, meas, meas + [target_site])  # columns: group, then target
     eye = np.eye(len(meas))
-    t_p = h[:, :-1] + (spec.omega / 2.0) * eye
-    t_q = g[:, :-1] + eye / (2.0 * spec.omega)
+    t_p = h[:, :-1] + (params.omega / 2.0) * eye
+    t_q = g[:, :-1] + eye / (2.0 * params.omega)
     j = h[:, -1]
     return QetQuadratics(t_p=t_p, t_q=t_q, j_p=j, j_q=j)
 

@@ -81,7 +81,7 @@ def test_criterion_2_post_measurement_purity():
         (100, 0.9, 0.5, tuple(range(3))),
     ]
     for n, alpha, omega, measured in grids:
-        spec = MeasurementSpec(measured_sites=measured, omega=omega)
+        spec = MeasurementSpec(measured_sites=measured)
         worst = max(worst, unmeasured_purity_deviation(ChainParams(n_sites=n, alpha=alpha, omega=omega), spec))
     _finish(2, [("max |nu - 1/2| over grids", worst < 1e-8, f"{worst:.2e}")])
 
@@ -236,7 +236,7 @@ def test_criterion_10_property_suite():
         omega = float(rng.uniform(0.3, 3.0))
         params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
         count = int(rng.integers(1, min(5, n // 2 - 1)))
-        spec = MeasurementSpec(measured_sites=tuple(range(count)), omega=omega)
+        spec = MeasurementSpec(measured_sites=tuple(range(count)))
         worst_energy = max(worst_energy, optimized_energy(build_quadratics(params, spec, n // 2 + 1)))
     gates.append(("optimized energy never positive", worst_energy <= 0.0, f"max {worst_energy:.2e}"))
 

@@ -8,15 +8,18 @@ import pytest
 
 import qetchain
 from qetchain import NumericsError
-from qetchain.cli import build_parser, cli_main, parse_config, run_validate
+from qetchain.cli import _config_keys, build_parser, cli_main, parse_config, run_validate
 from qetchain.experiment import RunConfig
+
+
+EB_3_POINTS = "E_B_abs aborted: need at least 4 points, got 3"
 
 
 class TestExitCodes:
     def test_setting1_writes_csv(self, tmp_path):
         out = tmp_path / "s1.csv"
         code = cli_main(["setting1", "--n", "20", "--alpha", "a1", "--d-max", "5",
-                         "--out", str(out), "--threads", "1"])
+                         "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 7  # header + d = 0..5
@@ -51,7 +54,7 @@ class TestExitCodes:
         assert "invalid" in capsys.readouterr().err
 
     def test_out_of_range_grid(self, capsys):
-        assert cli_main(["setting2", "--n", "10", "--ell-max", "9", "--threads", "1"]) == 1
+        assert cli_main(["setting2", "--n", "10", "--ell-max", "9"]) == 1
         err = capsys.readouterr().err
         assert "ell" in err
 
@@ -112,7 +115,7 @@ class TestExitCodes:
         import qetchain.experiment as experiment
 
         monkeypatch.setattr(experiment, "target_x2m1", lambda g, h: 0.0)
-        assert cli_main(["size-sweep", "--alpha", "a1", "--n-list", "20", "--threads", "1"]) == 2
+        assert cli_main(["size-sweep", "--alpha", "a1", "--n-list", "20"]) == 2
         err = capsys.readouterr().err
         assert "numerical failure: N=20: ell=8: target symplectic eigenvalue^2" in err and "< 1/4" in err
 
@@ -130,15 +133,21 @@ class TestExitCodes:
             return g, h
 
         monkeypatch.setattr(qet_protocol, "correlation_vectors", unphysical_at_4)
-        assert cli_main(["setting1", "--n", "20", "--alpha", "a1", "--d-max", "5", "--threads", "1"]) == 2
+        assert cli_main(["setting1", "--n", "20", "--alpha", "a1", "--d-max", "5"]) == 2
         err = capsys.readouterr().err
         assert "numerical failure" in err and "d=3" in err and "non-finite cell" in err
 
     @pytest.mark.parametrize("args", [["validate", "--threads", "1"], ["setting1", "--seed", "1"],
-                                      ["setting2", "--fit-min", "3"]])
-    def test_flag_the_mode_never_reads_is_rejected(self, args, capsys):
+                                      ["setting2", "--fit-min", "3"], ["setting2", "--threads", "1"],
+                                      ["size-sweep", "--n", "50"]])
+    def test_flag_the_mode_never_reads_is_rejected(self, args, tmp_path, capsys):
         assert cli_main(args) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+        mode, flag, value = args
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        assert cli_main([mode, "--config", str(cfg)]) == 1
+        assert f"unknown key {flag[2:]!r}" in capsys.readouterr().err
 
     def test_bad_size_list_names_the_flag(self, capsys):
         assert cli_main(["size-sweep", "--n-list", "a,b"]) == 1
@@ -171,7 +180,7 @@ class TestExitCodes:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in window.items()))
         flags = [item for key, value in window.items() for item in (f"--{key}", value)]
-        for argv in ([mode, "--n", "20", *flags], [mode, "--n", "20", "--config", str(cfg)]):
+        for argv in ([mode, *flags], [mode, "--config", str(cfg)]):
             assert cli_main(argv) == 1
             out, err = capsys.readouterr()
             assert out == ""
@@ -192,13 +201,15 @@ class TestExitCodes:
          "fit window holds 2 grid points, a fit needs 3: fit-min 70.0, fit-max 100.0 (size-sweep default)"),
         (["size-sweep", "--alpha", "a4", "--n-list", "20,40,60,80,100", "--fit-max", "50"],
          "fit window holds 1 grid points, a fit needs 3: fit-min 40.0 (size-sweep default), fit-max 50.0"),
-        (["setting1", "--n", "100", "--fit-min", "38"], None),
-        (["setting1", "--n", "100", "--fit-max", "12"], None),
-        (["size-sweep", "--alpha", "a4", "--n-list", "20,40,60,80,100", "--fit-min", "60"], None),
-        (["size-sweep", "--alpha", "a4", "--n-list", "20,40,60,80,100", "--fit-max", "80"], None),
+        (["setting1", "--n", "100", "--fit-min", "38"], []),
+        (["setting1", "--n", "100", "--fit-max", "12"], []),
+        (["size-sweep", "--alpha", "a4", "--n-list", "20,40,60,80,100", "--fit-min", "60"], [EB_3_POINTS]),
+        (["size-sweep", "--alpha", "a4", "--n-list", "20,40,60,80,100", "--fit-max", "80"], [EB_3_POINTS]),
     ])
     def test_half_given_fit_window_is_checked_against_the_grid(self, argv, message, tmp_path, capsys):
         # The bound not given takes the mode's default; a window left with fewer than 3 grid points fails.
+        # A window that runs expects the list of its aborted lines: of a 3-point size-sweep window, only
+        # E_B_abs's, whose offset fit needs 4 points.
         flags = [i for i, arg in enumerate(argv) if arg.startswith("--fit-")]
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{argv[i][2:]} = {argv[i + 1]}\n" for i in flags))
@@ -206,9 +217,10 @@ class TestExitCodes:
         for args in (argv, rest + ["--config", str(cfg)]):
             code = cli_main(args)
             out, err = capsys.readouterr()
-            if message is None:
+            if isinstance(message, list):
                 assert code == 0, err
-                assert "aborted" not in out and len(out.splitlines()) == {"setting1": 2, "size-sweep": 3}[argv[0]]
+                assert len(out.splitlines()) == {"setting1": 2, "size-sweep": 3}[argv[0]]
+                assert [line for line in out.splitlines() if "aborted" in line] == message
             else:
                 assert code == 1
                 assert out == ""
@@ -216,7 +228,7 @@ class TestExitCodes:
 
     def test_unwritable_out_names_the_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "s1.csv"
-        assert cli_main(["setting1", "--n", "20", "--d-max", "3", "--threads", "1", "--out", str(out)]) == 1
+        assert cli_main(["setting1", "--n", "20", "--d-max", "3", "--out", str(out)]) == 1
         assert f"qetchain: error: cannot write {out}: " in capsys.readouterr().err
 
     def test_unwritable_out_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
@@ -246,7 +258,7 @@ def test_module_entry_point_runs_without_warnings():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "qetchain.cli",
-         "setting1", "--n", "20", "--alpha", "a1", "--d-max", "5", "--threads", "1"],
+         "setting1", "--n", "20", "--alpha", "a1", "--d-max", "5"],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -256,7 +268,7 @@ def test_module_entry_point_runs_without_warnings():
 class TestConfigFile:
     def test_file_values_used(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 16\nalpha = a1\nd-max = 4\nthreads = 1\n")
+        cfg.write_text("n = 16\nalpha = a1\nd-max = 4\n")
         out = tmp_path / "out.csv"
         code = cli_main(["setting1", "--config", str(cfg), "--out", str(out)])
         assert code == 0
@@ -264,7 +276,7 @@ class TestConfigFile:
 
     def test_cli_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 16\nalpha = a1\nd-max = 4\nthreads = 1\n")
+        cfg.write_text("n = 16\nalpha = a1\nd-max = 4\n")
         out = tmp_path / "out.csv"
         code = cli_main(["setting1", "--config", str(cfg), "--d-max", "2", "--out", str(out)])
         assert code == 0
@@ -296,12 +308,12 @@ FLAG_VALUES = {
 
 
 # Each mode's flags, which are also its config keys: a mode takes only what it reads.
-SWEEP_KEYS = {"n", "alpha", "omega", "threads", "out"}
+SWEEP_KEYS = {"n", "alpha", "omega", "out"}
 FIT_KEYS = {"fit-min", "fit-max"}
 MODE_KEYS = {
     "setting1": SWEEP_KEYS | FIT_KEYS | {"d-max"},
     "setting2": SWEEP_KEYS | {"ell-min", "ell-max"},
-    "size-sweep": SWEEP_KEYS | FIT_KEYS | {"n-list"},
+    "size-sweep": SWEEP_KEYS - {"n"} | FIT_KEYS | {"n-list"},
     "validate": {"n", "alpha", "omega", "seed"},
 }
 
@@ -331,6 +343,43 @@ def test_validate_rejects_sweep_keys(key, tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+# A base run per mode, and the FLAG_VALUES a mode's base run needs replaced to stay valid and differ from it.
+BASE_RUNS = {
+    "setting1": ([], {"n": "60", "d-max": "30", "fit-min": "5"}),
+    "setting2": (["--n", "24"], {"n": "30"}),
+    "size-sweep": (["--n-list", "20,40,60,80,100"], {"n-list": "20,40,60,80,100,120", "fit-max": "80"}),
+    "validate": ([], {}),
+}
+
+
+def _printed(argv, capsys) -> str:
+    """A run's stdout, followed by the CSV it wrote to its --out, if it has one."""
+    code = cli_main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, (argv, err)
+    return out + (Path(argv[argv.index("--out") + 1]).read_text() if "--out" in argv else "")
+
+
+@pytest.mark.parametrize("mode", list(BASE_RUNS))
+def test_every_option_changes_what_the_mode_prints(mode, tmp_path, capsys):
+    # Each run but the one without --out writes a CSV of its own, so every comparison reads a fresh file.
+    base, replaced = BASE_RUNS[mode]
+    values = {**FLAG_VALUES, **replaced}
+    keys = _config_keys(build_parser().modes[mode])
+
+    def out(name):
+        return ["--out", str(tmp_path / f"{name}.csv")] if "out" in keys else []
+
+    reference = _printed([mode, *base, *out("base")], capsys)
+    for key in keys.keys() - {"out"}:
+        assert _printed([mode, *base, f"--{key}", values[key], *out(key)], capsys) != reference, key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha = {values['alpha']}\n")
+    assert _printed([mode, *base, "--config", str(cfg), *out("config")], capsys) != reference, "config"
+    if "out" in keys:
+        assert _printed([mode, *base], capsys) != reference, "out"
+
+
 class TestDeterministicOutput:
     def test_same_config_same_bytes(self, tmp_path):
         args = ["size-sweep", "--alpha", "a1", "--n-list", "6,8,10"]
@@ -341,7 +390,7 @@ class TestDeterministicOutput:
 
     def test_fit_summary_lines(self, capsys, tmp_path):
         code = cli_main(["setting1", "--n", "30", "--alpha", "a4", "--d-max", "12",
-                         "--fit-min", "2", "--fit-max", "12", "--threads", "1"])
+                         "--fit-min", "2", "--fit-max", "12"])
         assert code == 0
         lines = capsys.readouterr().out.strip().split("\n")
         named = {line.split()[0] for line in lines}
@@ -357,7 +406,7 @@ class TestDeterministicOutput:
 class TestRatioLine:
     def test_uncoupled_chain_has_no_ratio_to_summarize(self, capsys):
         # At alpha = 0 no site is entangled, so delta_E_N = 0 and the ratio is NaN at every ell.
-        assert cli_main(["setting2", "--n", "20", "--alpha", "0", "--threads", "1"]) == 0
+        assert cli_main(["setting2", "--n", "20", "--alpha", "0"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "# ratio: undefined (delta_E_N = 0 at every ell)"
 
     def test_rows_without_a_ratio_are_left_out(self, monkeypatch, capsys):

@@ -161,6 +161,13 @@ class TestFitPowerLaw:
         # biases the residual slope steep; the recovered exponent is near -2.
         assert -2.6 < fit.exponent < -1.9
 
+    def test_offset_fit_needs_three_points_besides_its_tail(self):
+        points = [(x, 5.0 * x**-2 + 7.0) for x in (1.0, 2.0, 3.0, 4.0)]
+        with pytest.raises(ValueError, match="need at least 4 points, got 3"):
+            fit_power_law(points[:3], with_offset=True)
+        fit = fit_power_law(points, with_offset=True)
+        assert fit.offset == points[-1][1] and fit.window == (1.0, 4.0)
+
     def test_flat_data_with_offset_aborts(self):
         points = [(float(x), 3.0) for x in range(1, 11)]
         with pytest.raises(ValueError, match="non-positive"):
@@ -224,7 +231,7 @@ class TestSweeps:
 def _setting1_row_rebuilt(params: ChainParams, d: int) -> tuple:
     # Slow reference: every row recomputes the correlators and both states.
     correlation_vectors.cache_clear()
-    spec = MeasurementSpec(measured_sites=(0,), omega=params.omega)
+    spec = MeasurementSpec(measured_sites=(0,))
     v0 = ground_covariance(params)
     vm = post_measurement_covariance(params, spec)
     pair = [0, d + 1]

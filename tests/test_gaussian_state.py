@@ -258,7 +258,7 @@ class TestMutualInformation:
         # a product, so the drop equals the ground-state value).
         params = ChainParams(n_sites=100, alpha=A4)
         v0 = ground_covariance(params)
-        vm = post_measurement_covariance(params, MeasurementSpec((0,), 1.0))
+        vm = post_measurement_covariance(params, MeasurementSpec((0,)))
         values = [mutual_information(v0, [0], [d + 1]) for d in range(8)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert abs(mutual_information(vm, [0], [3])) < 1e-10

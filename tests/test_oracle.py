@@ -104,7 +104,7 @@ def replayed_energy(params, spec, target, plans, n_samples, seed):
     n, alpha = params.n_sites, params.alpha
     g, h = correlation_vectors(n, alpha)
     rest = list(unmeasured_sites(params, spec))
-    upd = general_dyne_update(ground_covariance(params), spec.measured_sites, spec.omega)
+    upd = general_dyne_update(ground_covariance(params), spec.measured_sites, params.omega)
     cq, cp = upd.conditional_covariance.q, upd.conditional_covariance.p
     b = rest.index(target)
     xs, ps = sample_outcomes(outcome_distribution(params, spec), seed, n_samples)
@@ -138,7 +138,7 @@ def fsum_energy(params, spec, target, plans, n_samples, seed):
     n, alpha = params.n_sites, params.alpha
     g, h = correlation_vectors(n, alpha)
     rest = list(unmeasured_sites(params, spec))
-    upd = general_dyne_update(ground_covariance(params), spec.measured_sites, spec.omega)
+    upd = general_dyne_update(ground_covariance(params), spec.measured_sites, params.omega)
     cq, cp = upd.conditional_covariance.q, upd.conditional_covariance.p
     b = rest.index(target)
     neighbor_x = np.zeros(len(spec.measured_sites))
@@ -195,7 +195,7 @@ class TestGeneralDyneUpdate:
     @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
     def test_matches_schur_construction(self, n, alpha, omega):
         params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
-        spec = MeasurementSpec(measured_sites=(0, 1), omega=omega)
+        spec = MeasurementSpec(measured_sites=(0, 1))
         upd = general_dyne_update(ground_covariance(params), spec.measured_sites, omega)
         built = post_measurement_covariance(params, spec)
         ref = reduce(built, unmeasured_sites(params, spec)).matrix
@@ -209,7 +209,7 @@ class TestGeneralDyneUpdate:
         dev = 0.0
         for n, alpha, omega, measured in itertools.product(*grid):
             params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
-            spec = MeasurementSpec(measured_sites=measured, omega=omega)
+            spec = MeasurementSpec(measured_sites=measured)
             assembled = reduce(post_measurement_covariance(params, spec), unmeasured_sites(params, spec))
             m = build_m_matrix(params, spec)
             np.testing.assert_array_equal(quarter_inverse(m), assembled.q)
@@ -261,7 +261,7 @@ class TestStackedKernels:
         by_stack = {}
         for n, alpha, omega, measured in grid:
             by_stack.setdefault((n, measured), []).append((ChainParams(n_sites=n, alpha=alpha, omega=omega),
-                                                           MeasurementSpec(measured_sites=measured, omega=omega)))
+                                                           MeasurementSpec(measured_sites=measured)))
         return list(by_stack.values())
 
     def test_general_dyne_stack_equals_loop(self):
@@ -270,9 +270,9 @@ class TestStackedKernels:
             grounds = [ground_covariance(params) for params, _ in points]
             cond_q, cond_p, gain_x, gain_p = oracle._condition_sectors(
                 np.stack([v.q for v in grounds]), np.stack([v.p for v in grounds]), measured,
-                np.array([spec.omega for _, spec in points]))
-            for i, (v, (_, spec)) in enumerate(zip(grounds, points)):
-                upd = general_dyne_update(v, measured, spec.omega)
+                np.array([params.omega for params, _ in points]))
+            for i, (v, (params, _)) in enumerate(zip(grounds, points)):
+                upd = general_dyne_update(v, measured, params.omega)
                 np.testing.assert_array_equal(_symmetrized(cond_q[i]), upd.conditional_covariance.q)
                 np.testing.assert_array_equal(_symmetrized(cond_p[i]), upd.conditional_covariance.p)
                 np.testing.assert_array_equal(gain_x[i], upd.gain_x)
@@ -283,7 +283,7 @@ class TestStackedKernels:
             measured = points[0][1].measured_sites
             sites = list(measured) + list(unmeasured_sites(*points[0]))
             h = np.stack([ground_covariance(params).p[np.ix_(sites, sites)] for params, _ in points])
-            m = _schur_complement(h, len(measured), np.array([spec.omega for _, spec in points]))
+            m = _schur_complement(h, len(measured), np.array([params.omega for params, _ in points]))
             quarter = quarter_inverse(m)
             for i, point in enumerate(points):
                 np.testing.assert_array_equal(m[i], build_m_matrix(*point))
@@ -335,7 +335,7 @@ class TestMonteCarloEnergy:
 
     def test_agrees_for_multi_site_group(self):
         params = ChainParams(n_sites=8, alpha=0.9, omega=0.7)
-        spec = MeasurementSpec(measured_sites=(0, 1, 2), omega=0.7)
+        spec = MeasurementSpec(measured_sites=(0, 1, 2))
         quad = build_quadratics(params, spec, 5)
         plan = optimal_plan(quad)
         [(mean, se)] = monte_carlo_energy(params, spec, 5, [plan], 200_000, seed=7)
@@ -343,7 +343,7 @@ class TestMonteCarloEnergy:
 
     def test_agrees_on_a_wider_small_grid(self):
         params = ChainParams(n_sites=12, alpha=0.99, omega=2.0)
-        spec = MeasurementSpec(measured_sites=(0, 1), omega=2.0)
+        spec = MeasurementSpec(measured_sites=(0, 1))
         quad = build_quadratics(params, spec, 7)
         plan = optimal_plan(quad)
         [(mean, se)] = monte_carlo_energy(params, spec, 7, [plan], 200_000, seed=17)
@@ -394,7 +394,7 @@ class TestMonteCarloEnergy:
     ])
     def test_matches_sample_by_sample_replay(self, measured, target):
         params = ChainParams(n_sites=8, alpha=0.9, omega=0.7)
-        spec = MeasurementSpec(measured_sites=measured, omega=0.7)
+        spec = MeasurementSpec(measured_sites=measured)
         plan = optimal_plan(build_quadratics(params, spec, target))
         bumped = DisplacementPlan(theta=plan.theta * 1.3, phi=plan.phi * 0.6)
         got = monte_carlo_energy(params, spec, target, [plan, bumped], 2000, seed=29)
@@ -411,7 +411,7 @@ class TestMonteCarloEnergy:
         # Below one block, exactly one, and a ragged fourth: the pooled block moments against
         # the whole draw's energies summed with math.fsum.
         params = ChainParams(n_sites=n_sites, alpha=0.9, omega=omega)
-        spec = MeasurementSpec(measured_sites=measured, omega=omega)
+        spec = MeasurementSpec(measured_sites=measured)
         plan = optimal_plan(build_quadratics(params, spec, target))
         bumped = DisplacementPlan(theta=plan.theta * 1.3, phi=plan.phi * 0.6)
         got = monte_carlo_energy(params, spec, target, [plan, bumped], n_samples, seed=41)
@@ -440,7 +440,7 @@ class TestMonteCarloEnergy:
     @pytest.mark.parametrize("target", [3, 5])  # 3 has a measured neighbor, 5 does not
     def test_shared_draw_equals_one_plan_calls(self, monkeypatch, target):
         params = ChainParams(n_sites=8, alpha=0.9, omega=0.7)
-        spec = MeasurementSpec(measured_sites=(0, 1, 2), omega=0.7)
+        spec = MeasurementSpec(measured_sites=(0, 1, 2))
         plan = optimal_plan(build_quadratics(params, spec, target))
         bumped = DisplacementPlan(theta=plan.theta * 1.1, phi=plan.phi * 0.8)
         separate = (monte_carlo_energy(params, spec, target, [plan], 20_000, seed=3)

@@ -27,13 +27,6 @@ class TestMeasurementSpec:
         with pytest.raises(ValueError):
             MeasurementSpec(measured_sites=(0, 0))
 
-    def test_rejects_bad_omega(self):
-        with pytest.raises(ValueError):
-            MeasurementSpec(measured_sites=(0,), omega=-1.0)
-        for omega in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match="omega must be finite and positive"):
-                MeasurementSpec(measured_sites=(0,), omega=omega)
-
     def test_site_range_checked_against_params(self):
         params = ChainParams(n_sites=4, alpha=0.5)
         with pytest.raises(ValueError):
@@ -54,7 +47,7 @@ class TestBuildMMatrix:
     @pytest.mark.parametrize("measured", [(0,), (0, 1, 2), (1, 5, 7)])
     def test_symmetric_positive_definite(self, measured):
         params = ChainParams(n_sites=10, alpha=0.95, omega=0.7)
-        m = build_m_matrix(params, MeasurementSpec(measured_sites=measured, omega=0.7))
+        m = build_m_matrix(params, MeasurementSpec(measured_sites=measured))
         assert np.abs(m - m.T).max() < 1e-12
         assert np.linalg.eigvalsh(m).min() > 0
 
@@ -67,7 +60,7 @@ class TestPostMeasurementCovariance:
 
     def test_block_structure(self):
         params = ChainParams(n_sites=8, alpha=0.9, omega=2.0)
-        spec = MeasurementSpec(measured_sites=(1, 2), omega=2.0)
+        spec = MeasurementSpec(measured_sites=(1, 2))
         v = post_measurement_covariance(params, spec).matrix
         for s in spec.measured_sites:
             assert v[2 * s, 2 * s] == 0.25          # 1/(2 omega)
@@ -123,7 +116,7 @@ class TestOutcomeDistribution:
 
     def test_covariances_positive_definite(self):
         params = ChainParams(n_sites=12, alpha=0.99, omega=0.5)
-        dist = outcome_distribution(params, MeasurementSpec(measured_sites=(0, 3, 4), omega=0.5))
+        dist = outcome_distribution(params, MeasurementSpec(measured_sites=(0, 3, 4)))
         assert np.linalg.eigvalsh(dist.x_covariance).min() > 0
         assert np.linalg.eigvalsh(dist.p_covariance).min() > 0
 

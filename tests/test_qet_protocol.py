@@ -97,7 +97,7 @@ class TestBuildQuadratics:
 
     def test_forms_positive_definite(self):
         params = ChainParams(n_sites=12, alpha=0.99, omega=0.5)
-        quad = build_quadratics(params, MeasurementSpec(measured_sites=(0, 1, 2), omega=0.5), 6)
+        quad = build_quadratics(params, MeasurementSpec(measured_sites=(0, 1, 2)), 6)
         assert np.linalg.eigvalsh(quad.t_p).min() > 0
         assert np.linalg.eigvalsh(quad.t_q).min() > 0
 
@@ -135,7 +135,7 @@ class TestOptimizedEnergy:
             n = 2 * int(rng.integers(4, 30))
             alpha = float(rng.uniform(0.0, 1.0 - 1e-9))
             params = ChainParams(n_sites=n, alpha=alpha, omega=float(rng.uniform(0.3, 3.0)))
-            spec = MeasurementSpec(measured_sites=(0, 1, 2), omega=params.omega)
+            spec = MeasurementSpec(measured_sites=(0, 1, 2))
             assert optimized_energy(build_quadratics(params, spec, n // 2)) <= 0.0
 
     def test_two_code_paths_agree_at_the_optimum(self):
@@ -198,7 +198,7 @@ class TestRunSetting1:
         # 5.3e-16 relative over this grid.
         for omega in (0.5, 1.0, 2.0):
             params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
-            spec = MeasurementSpec(measured_sites=(0,), omega=omega)
+            spec = MeasurementSpec(measured_sites=(0,))
             for d in range(n - 1):
                 rep = run_setting1(params, d)
                 quad = build_quadratics(params, spec, d + 1)
@@ -206,6 +206,19 @@ class TestRunSetting1:
                 got = (rep.optimized_energy, *rep.plan.theta, *rep.plan.phi)
                 ref = (optimized_energy(quad), *plan.theta, *plan.phi)
                 assert all(abs(a - b) <= 1e-15 * abs(b) for a, b in zip(got, ref)), (omega, d, got, ref)
+
+    @pytest.mark.parametrize("omega", [0.5, 0.7, 2.0])
+    @pytest.mark.parametrize("alpha", [0.3, A1, A4])
+    def test_full_state_route_reads_the_chain_omega(self, alpha, omega):
+        # The measured group carries no frequency: the full-state route takes omega from params, as the closed
+        # form does.
+        params = ChainParams(n_sites=100, alpha=alpha, omega=omega)
+        spec = MeasurementSpec(measured_sites=(0,))
+        for d in (1, 5, 20):
+            want = run_setting1(params, d).optimized_energy
+            assert abs(optimized_energy(build_quadratics(params, spec, d + 1)) - want) <= 1e-12 * abs(want), d
+        post = post_measurement_covariance(params, spec)
+        assert (post.q[0, 0], post.p[0, 0]) == (1.0 / (2.0 * omega), omega / 2.0)
 
     def test_report_deltas(self):
         rep = run_setting1(ChainParams(n_sites=20, alpha=0.9), 1)
@@ -263,7 +276,7 @@ class TestClosedFormsMatchFullStateRoute:
                   for d in range(n - 1)]
         for omega in self.OMEGAS:
             params = ChainParams(n_sites=n, alpha=alpha, omega=omega)
-            spec = MeasurementSpec(measured_sites=(0,), omega=omega)
+            spec = MeasurementSpec(measured_sites=(0,))
             measured = post_measurement_covariance(params, spec)
             for d, (e_n_before, s_m_before) in enumerate(before):
                 rep = run_setting1(params, d)
@@ -287,7 +300,7 @@ class TestClosedFormsMatchFullStateRoute:
             for ell in ells:
                 rep = run_setting2(params, ell)
                 target, size = n // 2 + ell, 2 * ell + 1
-                spec = MeasurementSpec(measured_sites=tuple(range(size)), omega=omega)
+                spec = MeasurementSpec(measured_sites=tuple(range(size)))
                 after = post_measurement_covariance(params, spec)
                 ref = (before[ell][0], log_negativity(after, [target]),
                        before[ell][1], mutual_information(after, rests[ell], [target]))
@@ -412,7 +425,7 @@ class TestBorderedRecursion:
         # The size sweep evaluates only the row at ell = N/2 - 2 = 8, so the
         # stop at ell = 3 is what it reports.
         self._plant_t_q_positive_definite_to_order_5(monkeypatch)
-        assert cli_main(["size-sweep", "--alpha", "a1", "--n-list", "20", "--threads", "1"]) == 2
+        assert cli_main(["size-sweep", "--alpha", "a1", "--n-list", "20"]) == 2
         err = capsys.readouterr().err
         assert "numerical failure: N=20: ell=3: Toeplitz form not positive definite" in err
 
@@ -553,7 +566,7 @@ class TestEntanglementBound:
 # interpreter and in this one.
 SCIPY_CALLS = """
 params = qetchain.ChainParams(n_sites=40, alpha=0.9, omega=0.7)
-spec = qetchain.MeasurementSpec(measured_sites=(0, 1, 2), omega=0.7)
+spec = qetchain.MeasurementSpec(measured_sites=(0, 1, 2))
 row = qetchain.run_setting2(params, 3)
 plan = qetchain.optimal_plan(qetchain.build_quadratics(params, spec, 20))
 values = [row.optimized_energy, row.e_n_before, row.e_n_after, row.s_m_before, row.s_m_after,
