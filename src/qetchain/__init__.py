@@ -3,8 +3,8 @@
 Gaussian ground-state construction, coherent-state measurement updates,
 optimal displacement-energy extraction, and entanglement accounting.  The
 independent general-dyne, Monte Carlo, and truncated-number-basis oracles
-live in ``qetchain.oracle`` and the shared checks in ``qetchain.invariants``;
-neither is re-exported here.
+and the checks that ``validate`` and the acceptance tests share live in
+``qetchain.oracle``, which is not re-exported here.
 
 Importing the package and running any sweep need only numpy: the size
 sweep reads the same bordered recursion as the setting-2 sweep.  Each

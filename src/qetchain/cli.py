@@ -1,10 +1,11 @@
 """Command-line front end: sweep subcommands, config files, the validate suite.
 
 Exit codes: 0 on success, 1 on configuration errors (unknown flags or keys,
-malformed values, out-of-range grids, an unwritable --out), 2 on numerical
-failures.  The subparsers are the one list of flags: a config-file key is
-a flag without its dashes, converted by the flag's type, and every default
-is RunConfig's.
+malformed values, out-of-range grids, an --out that is unwritable or names a
+directory) and when stdout closes before the output is written, 2 on
+numerical failures.  The subparsers are the one list of flags: a
+config-file key is a flag without its dashes, converted by the flag's type,
+and every default is RunConfig's.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import sys
 
 import numpy as np
 
-from . import experiment, invariants
+from . import experiment, oracle
 from .chain_model import ChainParams, correlation_vectors, ground_covariance
 from .experiment import ALPHA_PRESETS, RunConfig, render_fit_lines, resolve_alpha, summary_fits
 from .gaussian_state import NumericsError
-from .oracle import fock_ground_state, fock_position_correlator
 from .povm_measurement import MeasurementSpec
 
 
@@ -125,25 +125,25 @@ def parse_config(argv=None) -> RunConfig:
 
 def _validate_checks(config: RunConfig, params):
     """(name, passed, detail) per invariant, computed one at a time."""
-    dev = invariants.inverse_pair_deviation((4, 10, 100), (0.0, 0.9, 0.99, ALPHA_PRESETS["a4"]))
+    dev = oracle.inverse_pair_deviation((4, 10, 100), (0.0, 0.9, 0.99, ALPHA_PRESETS["a4"]))
     yield "correlator-inverse-pair", dev < 1e-10, f"max |GH - I/4| = {dev:.2e}"
-    dev = invariants.virial_deviation(np.random.default_rng(config.seed), 50, 60)
+    dev = oracle.virial_deviation(np.random.default_rng(config.seed), 50, 60)
     yield "virial-identity", dev < 1e-12, f"max |h0 - g0 + alpha g1| = {dev:.2e}"
-    dev = invariants.purity_deviation(ground_covariance(params))
+    dev = oracle.purity_deviation(ground_covariance(params))
     yield "ground-state-purity", dev < 1e-9, f"max |nu - 1/2| = {dev:.2e}"
     site_0 = MeasurementSpec(measured_sites=(0,))  # the frequency is each chain's own omega
-    dev = invariants.unmeasured_purity_deviation(params, site_0)
+    dev = oracle.unmeasured_purity_deviation(params, site_0)
     yield "post-measurement-purity", dev < 1e-8, f"max |nu - 1/2| = {dev:.2e}"
-    dev = invariants.general_dyne_deviation((4, 6, 8, 12), (0.0, 0.5, 0.9, 0.99), (0.5, 1.0, 2.0),
-                                            ((0,), (0, 1), (0, 2)))
+    dev = oracle.general_dyne_deviation((4, 6, 8, 12), (0.0, 0.5, 0.9, 0.99), (0.5, 1.0, 2.0),
+                                        ((0,), (0, 1), (0, 2)))
     yield "general-dyne-agreement", dev < 1e-10, f"max entry dev = {dev:.2e}"
-    fock = fock_ground_state(0.9, cutoff=25)
-    dev = abs(fock_position_correlator(fock) - correlation_vectors(2, 0.9)[0][1])
+    fock = oracle.fock_ground_state(0.9, cutoff=25)
+    dev = abs(oracle.fock_position_correlator(fock) - correlation_vectors(2, 0.9)[0][1])
     yield "fock-correlator", dev < 1e-6, f"|<q0 q1>_fock - g1| = {dev:.2e}"
-    dev = invariants.fock_negativity_deviation(fock, 0.9)
+    dev = oracle.fock_negativity_deviation(fock, 0.9)
     yield "fock-negativity", dev < 1e-3, f"|E_N fock - E_N gaussian| = {dev:.2e}"
     mc_params = ChainParams(n_sites=100, alpha=0.9, omega=config.omega)
-    analytic, [(mean, se), (mean_b, se_b)] = invariants.sampled_plan_energies(
+    analytic, [(mean, se), (mean_b, se_b)] = oracle.sampled_plan_energies(
         mc_params, site_0, 2, ((1.0, 1.0, config.seed), (1.1, 1.0, config.seed)), 200_000)
     yield ("monte-carlo-energy", abs(mean - analytic) <= 3 * se,
            f"analytic {analytic:.4e}, sampled {mean:.4e} +- {se:.1e}")
@@ -178,6 +178,8 @@ def cli_main(argv=None) -> int:
             "size-sweep": experiment.sweep_size,
         }[config.mode]
         parent = os.path.dirname(os.path.abspath(config.out or "."))
+        if config.out and os.path.isdir(config.out):  # before the sweep, as open() would fail after it
+            raise ValueError(f"cannot write {config.out}: {os.strerror(errno.EISDIR)}")
         if config.out and not os.access(parent, os.W_OK):  # before the sweep; opening --out would truncate it
             reason = os.strerror(errno.EACCES if os.path.isdir(parent) else errno.ENOENT)
             raise ValueError(f"cannot write {config.out}: {reason}")
@@ -201,7 +203,14 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()  # a closed stdout raises here, inside the handler, not at exit
+    except BrokenPipeError:  # the reader went away (qetchain validate | head -2)
+        # The recipe of Python's signal docs: the exit-time flush then writes to devnull and cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ One setting1_columns call evaluates every separation of setting 1.
 Setting 2 collects the forms of one sequential bordered recursion over ell
 and evaluates setting2_terms once on them; a size-sweep row is the last
 form of that recursion at ell = N/2 - 2, so no sweep needs scipy.  Every
-sweep runs in one thread; RunConfig.threads is read only by the benchmark
-harness, which records it, and no CLI flag sets it.
+sweep runs in one thread: no sweep reads RunConfig.threads, which the
+benchmark harness records, and no CLI flag sets it.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class RunConfig:
             if np.isnan(bound):
                 raise ValueError(f"{name} must be a number, got {bound}")
             bounds.append(f"{name} {bound}" + ("" if given is not None else f" ({self.mode} default)"))
-        grid = np.arange(self.d_max + 1) if FITS[self.mode][0] == "d" else np.array(self.n_list)
+        grid = np.arange(self.d_max + 1) if FITS[self.mode][0] == "d" else np.unique(self.n_list)
         if (count := int(np.count_nonzero(_in_fit_window(grid, lo, hi)))) < 3:
             raise ValueError("fit window is empty: {} > {}".format(*bounds) if lo > hi else
                              "fit window holds {} grid points, a fit needs 3: {}, {}".format(count, *bounds))
@@ -195,6 +195,8 @@ def sweep_setting2(config: RunConfig) -> SweepTable:
     """
     params = config.params()
     top = params.n_sites // 2 - 2
+    if top < 1:
+        raise ValueError(f"setting 2 needs N >= 6, got {params.n_sites}")
     lo = 1 if config.ell_min is None else config.ell_min
     hi = top if config.ell_max is None else config.ell_max
     if not 1 <= lo <= hi <= top:
@@ -224,8 +226,8 @@ def fit_power_law(points, with_offset: bool = False) -> PowerLawFit:
     Without offset: straight line through (ln x, ln y).  With offset: the
     tail (last 10% of points by x, at least one) estimates the additive
     floor as its mean y; the remaining points, at least 3, are fit after
-    subtracting it.  Raises ValueError when any residual to be logged is
-    non-positive.
+    subtracting it.  Raises ValueError when fewer than 3 distinct x remain
+    to fit, or when any residual to be logged is non-positive.
     """
     pts = np.asarray(points, dtype=float).reshape(len(points), 2)  # ValueError unless (x, y) pairs
     tail = max(1, round(0.1 * len(pts))) if with_offset else 0
@@ -240,6 +242,8 @@ def fit_power_law(points, with_offset: bool = False) -> PowerLawFit:
     if with_offset:
         offset = float(np.mean(y[-tail:]))
         x, y = x[:-tail], y[:-tail] - offset
+    if (distinct := 1 + int(np.count_nonzero(np.diff(x)))) < 3:  # x is sorted; a repeat adds no rank
+        raise ValueError(f"need at least 3 distinct abscissae, got {distinct}")
     if np.any(y <= 0):
         raise ValueError("non-positive values after offset subtraction; fit aborted")
 

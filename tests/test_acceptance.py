@@ -34,7 +34,8 @@ from qetchain import (
     sweep_size,
 )
 from qetchain.experiment import render_csv
-from qetchain.invariants import (
+from qetchain.oracle import (
+    fock_ground_state,
     fock_negativity_deviation,
     general_dyne_deviation,
     inverse_pair_deviation,
@@ -42,7 +43,6 @@ from qetchain.invariants import (
     unmeasured_purity_deviation,
     virial_deviation,
 )
-from qetchain.oracle import fock_ground_state
 
 A1, A2, A3, A4 = (ALPHA_PRESETS[k] for k in ("a1", "a2", "a3", "a4"))
 

@@ -201,6 +201,8 @@ class TestExitCodes:
          "fit window holds 2 grid points, a fit needs 3: fit-min 70.0, fit-max 100.0 (size-sweep default)"),
         (["size-sweep", "--alpha", "a4", "--n-list", "20,40,60,80,100", "--fit-max", "50"],
          "fit window holds 1 grid points, a fit needs 3: fit-min 40.0 (size-sweep default), fit-max 50.0"),
+        (["size-sweep", "--alpha", "a1", "--n-list", "40,40,40,40,40", "--fit-min", "40"],
+         "fit window holds 1 grid points, a fit needs 3: fit-min 40.0, fit-max 40.0 (size-sweep default)"),
         (["setting1", "--n", "100", "--fit-min", "38"], []),
         (["setting1", "--n", "100", "--fit-max", "12"], []),
         (["size-sweep", "--alpha", "a4", "--n-list", "20,40,60,80,100", "--fit-min", "60"], [EB_3_POINTS]),
@@ -226,6 +228,17 @@ class TestExitCodes:
                 assert out == ""
                 assert message in err
 
+    def test_default_window_with_two_distinct_sizes_fits_nothing(self, capsys):
+        assert cli_main(["size-sweep", "--alpha", "a1", "--n-list", "40,40,60,60"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name} aborted: need at least 3 distinct abscissae, got 2" for name in ("delta_E_N", "E_B_abs", "beta")]
+
+    def test_setting2_names_a_size_too_small(self, capsys):
+        assert cli_main(["setting2", "--n", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "qetchain: error: setting 2 needs N >= 6, got 4\n"
+
     def test_unwritable_out_names_the_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "s1.csv"
         assert cli_main(["setting1", "--n", "20", "--d-max", "3", "--out", str(out)]) == 1
@@ -238,6 +251,15 @@ class TestExitCodes:
         out = tmp_path / "missing" / "s1.csv"
         assert cli_main(["setting1", "--n", "20", "--d-max", "3", "--out", str(out)]) == 1
         assert f"qetchain: error: cannot write {out}: No such file or directory" in capsys.readouterr().err
+
+    def test_out_naming_a_directory_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        import qetchain.experiment as experiment
+
+        monkeypatch.setattr(experiment, "sweep_setting2", lambda config: pytest.fail("sweep ran before --out"))
+        assert cli_main(["setting2", "--n", "20", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"qetchain: error: cannot write {tmp_path}: Is a directory\n"
 
     def test_failing_sweep_leaves_an_existing_out_intact(self, tmp_path, monkeypatch):
         import qetchain.experiment as experiment
@@ -263,6 +285,19 @@ def test_module_entry_point_runs_without_warnings():
     )
     assert done.returncode == 0, done.stderr
     assert "E_B_abs" in done.stdout
+
+
+def test_closed_stdout_exits_quietly():
+    # Unbuffered, so each line is written as it is printed and the write after the close fails.
+    src = str(Path(qetchain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-u", "-m", "qetchain.cli", "validate"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("PASS ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 class TestConfigFile:

@@ -168,6 +168,14 @@ class TestFitPowerLaw:
         fit = fit_power_law(points, with_offset=True)
         assert fit.offset == points[-1][1] and fit.window == (1.0, 4.0)
 
+    def test_repeated_abscissae_count_once(self):
+        # Four points at two distinct x give a rank-1 design: no power law is defined.
+        points = [(2.0, 1.0), (2.0, 1.5), (3.0, 2.0), (3.0, 2.5)]
+        with pytest.raises(ValueError, match="need at least 3 distinct abscissae, got 2"):
+            fit_power_law(points)
+        with pytest.raises(ValueError, match="need at least 3 distinct abscissae, got 2"):
+            fit_power_law(points + [(4.0, 3.0)], with_offset=True)
+
     def test_flat_data_with_offset_aborts(self):
         points = [(float(x), 3.0) for x in range(1, 11)]
         with pytest.raises(ValueError, match="non-positive"):

@@ -29,13 +29,13 @@ from qetchain import (
 from qetchain import oracle
 from qetchain.experiment import ALPHA_PRESETS
 from qetchain.gaussian_state import _symmetrized
-from qetchain.invariants import general_dyne_deviation
 from qetchain.oracle import (
     FockState,
     fock_energy,
     fock_ground_state,
     fock_log_negativity,
     fock_position_correlator,
+    general_dyne_deviation,
     general_dyne_update,
     monte_carlo_energy,
     two_mode_ground_covariance,
@@ -178,7 +178,7 @@ def pure_two_mode_states(draw):
 
 class TestGeneralDyneUpdate:
     def test_product_state_unchanged(self):
-        v = CovarianceMatrix(0.5 * np.eye(8))
+        v = CovarianceMatrix(0.5 * np.eye(4), 0.5 * np.eye(4))
         upd = general_dyne_update(v, [0, 2], omega=1.0)
         np.testing.assert_allclose(upd.conditional_covariance.matrix, 0.5 * np.eye(4), atol=1e-14)
         np.testing.assert_allclose(upd.gain_x, 0.0, atol=1e-14)
@@ -219,7 +219,7 @@ class TestGeneralDyneUpdate:
         assert general_dyne_deviation(*grid) == dev
 
     def test_rejects_degenerate_subsets(self):
-        v = CovarianceMatrix(0.5 * np.eye(4))
+        v = CovarianceMatrix(0.5 * np.eye(2), 0.5 * np.eye(2))
         with pytest.raises(ValueError):
             general_dyne_update(v, [], omega=1.0)
         with pytest.raises(ValueError):
