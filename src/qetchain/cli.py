@@ -180,9 +180,10 @@ def cli_main(argv=None) -> int:
         parent = os.path.dirname(os.path.abspath(config.out or "."))
         if config.out and os.path.isdir(config.out):  # before the sweep, as open() would fail after it
             raise ValueError(f"cannot write {config.out}: {os.strerror(errno.EISDIR)}")
-        if config.out and not os.access(parent, os.W_OK):  # before the sweep; opening --out would truncate it
-            reason = os.strerror(errno.EACCES if os.path.isdir(parent) else errno.ENOENT)
-            raise ValueError(f"cannot write {config.out}: {reason}")
+        # Before the sweep; opening --out would truncate it.  A writable regular file passes os.access.
+        if config.out and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            code = errno.EACCES if os.path.isdir(parent) else errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            raise ValueError(f"cannot write {config.out}: {os.strerror(code)}")
         table = sweep(config)
         if config.out:
             try:

@@ -8,15 +8,16 @@ is checking:
   covariance of the whole chain, and a Monte Carlo estimator that replays
   the protocol (sample outcome, condition, displace, read off the target
   energy) sample by sample, evaluating several plans on one draw.  It
-  walks the draw in cache-sized blocks of rows and pools each block's
-  count, mean and centred sum of squares exactly, so no array as long as
-  the draw is formed besides the draw itself.  The
-  conditioning runs sector by sector, positions on X and momenta on P:
-  the state and the detector noise have no q-p cross-covariance, so the
-  joint 2n x 2n update is block-diagonal and equals the two sector
-  updates exactly.  The sector update also runs on stacks of blocks, so
-  a grid of (alpha, omega) points of one size and group is conditioned
-  in one call, each matrix with the LAPACK calls a lone point gets;
+  holds the X half of the draw whole and reads the P half in cache-sized
+  blocks of rows as they are drawn, pooling each block's count, mean and
+  centred sum of squares exactly, so X is the only array as long as the
+  draw.  The conditioning runs sector by sector, positions on X and
+  momenta on P: the state and the detector noise have no q-p
+  cross-covariance, so the joint 2n x 2n update is block-diagonal and
+  equals the two sector updates exactly.  The sector update also runs on
+  stacks of blocks, so a grid of (alpha, omega) points of one size and
+  group is conditioned in one call, each matrix with the LAPACK calls a
+  lone point gets;
 * a truncated two-oscillator number-basis diagonalization whose exact
   state cross-checks the Gaussian negativity and correlators.  The ground
   state has even n0 + n1 and is symmetric under n0 <-> n1, so only the
@@ -41,8 +42,8 @@ from scipy.linalg import eigh
 from .chain_model import ChainParams, correlation_vectors, ground_covariance
 from .gaussian_state import CovarianceMatrix, NumericsError, _mode_indices, _symmetrized, log_negativity
 from .gaussian_state import reduce, symplectic_eigenvalues
-from .povm_measurement import MeasurementSpec, _row_blocks, _schur_complement, outcome_distribution
-from .povm_measurement import post_measurement_covariance, quarter_inverse, sample_outcomes, unmeasured_sites
+from .povm_measurement import MeasurementSpec, _outcome_blocks, _schur_complement, outcome_distribution
+from .povm_measurement import post_measurement_covariance, quarter_inverse, unmeasured_sites
 from .qet_protocol import DisplacementPlan, build_quadratics, optimal_plan, optimized_energy
 
 TOP_LEVEL_POPULATION_TOL = 1e-6
@@ -132,12 +133,15 @@ def monte_carlo_energy(
     quantity is exactly the displacement energy that the analytic
     quadratic form minimizes).
 
-    The draw is read in blocks of rows.  Per block, each mean is one matvec
-    on X or on P and the energy is formed in place; the block's count,
-    mean and centred sum of squares are merged into the plan's running
-    totals by the pairwise update of Chan, Golub and LeVeque, which is
-    exact, so the mean and the standard error are those of the whole draw
-    up to round-off.
+    The draw is read in blocks of rows: X is drawn whole first, then each
+    block of P is drawn into one reused buffer and read with its X rows
+    before the next is drawn (see povm_measurement._outcome_blocks), so
+    the stream and the bits are those of sample_outcomes.  Per block, each
+    mean is one matvec on X or on P and the energy is formed in place; the
+    block's count, mean and centred sum of squares are merged into the
+    plan's running totals by the pairwise update of Chan, Golub and
+    LeVeque, which is exact, so the mean and the standard error are those
+    of the whole draw up to round-off.
     """
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
@@ -169,11 +173,11 @@ def monte_carlo_energy(
 
     # Every plan reads the same blocks and the same neighbor means, and its
     # own vectors otherwise, so its result does not depend on the other plans.
-    xs, ps = sample_outcomes(outcome_distribution(params, spec), seed, n_samples)
+    xs, p_blocks = _outcome_blocks(outcome_distribution(params, spec), seed, n_samples)
     gains = [(upd.gain_x[b] + plan.phi, upd.gain_p[b] + plan.theta) for plan in plans]
     totals = [(0, 0.0, 0.0)] * len(plans)
-    for start, stop in _row_blocks(n_samples):
-        x, p = xs[start:stop], ps[start:stop]
+    for start, stop, p in p_blocks:
+        x = xs[start:stop]
         neighbors = np.dot(x, neighbor_x)
         for i, (gain_q, gain_p) in enumerate(gains):
             mean_q_b, energy = np.dot(x, gain_q), np.dot(p, gain_p)

@@ -138,12 +138,27 @@ def sample_outcomes(dist: OutcomeDistribution, seed: int, count: int) -> tuple[n
     """Draw outcome vectors; rows of the returned (count, |A|) arrays pair up as (X, P).
 
     Deterministic for a given seed: standard normals are multiplied by the
-    Cholesky factors of the two covariances, X stream first.  Each array is
-    filled block by block (see _row_blocks) from one reused block of
-    normals.  The generator's stream runs on across blocks, and each block
-    meets the same BLAS product as the whole array would, so the stream and
-    the bits are those of the one-shot standard_normal((count, |A|)) @
-    cholesky.T.
+    Cholesky factors of the two covariances, X stream first.  Both halves
+    are held whole: X as _outcome_blocks draws it, P copied from its blocks.
+    The generator's stream runs on across blocks, and each block meets the
+    same BLAS product as the whole array would, so the stream and the bits
+    are those of the one-shot standard_normal((count, |A|)) @ cholesky.T.
+    """
+    xs, p_blocks = _outcome_blocks(dist, seed, count)
+    ps = np.empty_like(xs)
+    for start, stop, p in p_blocks:
+        ps[start:stop] = p
+    return xs, ps
+
+
+def _outcome_blocks(dist: OutcomeDistribution, seed: int, count: int):
+    """The draw of sample_outcomes with only X held whole: (xs, p_blocks).
+
+    xs is the whole (count, |A|) X array, filled block by block (see
+    _row_blocks) from one reused block of normals.  p_blocks then draws P
+    on the same stream, one block at a time as it is iterated, and yields
+    (start, stop, p) with p holding P rows start:stop in one buffer that
+    the next block overwrites.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -151,16 +166,18 @@ def sample_outcomes(dist: OutcomeDistribution, seed: int, count: int) -> tuple[n
     m = dist.x_covariance.shape[0]
     blocks = _row_blocks(count)
     normals = np.empty((max(stop - start for start, stop in blocks), m))
-    draw = []
-    for covariance in (dist.x_covariance, dist.p_covariance):
-        factor = np.linalg.cholesky(covariance).T
-        out = np.empty((count, m))
-        for start, stop in blocks:
-            z = rng.standard_normal(out=normals[:stop - start])
-            # np.dot, not @: for one measured site matmul takes a slow (rows, 1) x (1, 1) loop.
-            np.dot(z, factor, out=out[start:stop])
-        draw.append(out)
-    return tuple(draw)
+
+    def draw(factor, out):
+        z = rng.standard_normal(out=normals[:len(out)])
+        # np.dot, not @: for one measured site matmul takes a slow (rows, 1) x (1, 1) loop.
+        return np.dot(z, factor, out=out)
+
+    x_factor, p_factor = (np.linalg.cholesky(c).T for c in (dist.x_covariance, dist.p_covariance))
+    xs = np.empty((count, m))
+    for start, stop in blocks:
+        draw(x_factor, xs[start:stop])
+    p = np.empty_like(normals)
+    return xs, ((start, stop, draw(p_factor, p[:stop - start])) for start, stop in blocks)
 
 
 def _row_blocks(count: int) -> list[tuple[int, int]]:

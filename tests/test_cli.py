@@ -261,6 +261,18 @@ class TestExitCodes:
         assert out == ""
         assert err == f"qetchain: error: cannot write {tmp_path}: Is a directory\n"
 
+    def test_out_under_a_file_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        import qetchain.experiment as experiment
+
+        monkeypatch.setattr(experiment, "sweep_setting2", lambda config: pytest.fail("sweep ran before --out"))
+        parent = tmp_path / "FILE"
+        parent.write_text("")
+        out = parent / "x.csv"
+        assert cli_main(["setting2", "--n", "20", "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"qetchain: error: cannot write {out}: Not a directory\n"
+
     def test_failing_sweep_leaves_an_existing_out_intact(self, tmp_path, monkeypatch):
         import qetchain.experiment as experiment
 

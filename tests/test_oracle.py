@@ -40,7 +40,7 @@ from qetchain.oracle import (
     monte_carlo_energy,
     two_mode_ground_covariance,
 )
-from qetchain.povm_measurement import _BLOCK_ROWS, _schur_complement, build_m_matrix, quarter_inverse
+from qetchain.povm_measurement import _BLOCK_ROWS, _outcome_blocks, _schur_complement, build_m_matrix, quarter_inverse
 
 
 # Every (alpha, cutoff) at which the tests, validate and the acceptance criteria solve the pair.
@@ -437,6 +437,23 @@ class TestMonteCarloEnergy:
             tracemalloc.stop()
         assert peak <= 1.2 * (2 * n_samples * 8)
 
+    @pytest.mark.parametrize("measured, target", [((0,), 2), ((0, 1, 2), 5)])
+    def test_traced_peak_stays_near_the_x_half(self, measured, target):
+        # 10^6 samples, two plans: X whole (count * |A| * 8 bytes) plus blocks; P is read as drawn.
+        params = ChainParams(n_sites=100, alpha=0.9)
+        spec = MeasurementSpec(measured_sites=measured)
+        plan = optimal_plan(build_quadratics(params, spec, target))
+        bumped = DisplacementPlan(theta=plan.theta * 1.1, phi=plan.phi)
+        monte_carlo_energy(params, spec, target, [plan, bumped], 1000, seed=1)  # fills the correlator cache
+        n_samples = 1_000_000
+        tracemalloc.start()
+        try:
+            monte_carlo_energy(params, spec, target, [plan, bumped], n_samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * (n_samples * len(measured) * 8)
+
     @pytest.mark.parametrize("target", [3, 5])  # 3 has a measured neighbor, 5 does not
     def test_shared_draw_equals_one_plan_calls(self, monkeypatch, target):
         params = ChainParams(n_sites=8, alpha=0.9, omega=0.7)
@@ -449,9 +466,9 @@ class TestMonteCarloEnergy:
 
         def counted(*args):
             draws.append(args)
-            return sample_outcomes(*args)
+            return _outcome_blocks(*args)
 
-        monkeypatch.setattr(oracle, "sample_outcomes", counted)
+        monkeypatch.setattr(oracle, "_outcome_blocks", counted)
         shared = monte_carlo_energy(params, spec, target, [plan, bumped], 20_000, seed=3)
         assert shared == separate
         assert len(draws) == 1

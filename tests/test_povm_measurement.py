@@ -14,7 +14,7 @@ from qetchain import (
     symplectic_eigenvalues,
     unmeasured_sites,
 )
-from qetchain.povm_measurement import _BLOCK_ROWS
+from qetchain.povm_measurement import _BLOCK_ROWS, _outcome_blocks, _row_blocks
 
 A4 = 1.0 - 1e-7
 X_COV_FROZEN = 1.2359692387847989  # g0 + 1/2 at N=4, alpha=0.9, omega=1
@@ -170,6 +170,23 @@ class TestSampleOutcomes:
         xs, ps = sample_outcomes(dist, seed=5, count=count)
         np.testing.assert_array_equal(xs, xs_ref)
         np.testing.assert_array_equal(ps, ps_ref)
+
+    @pytest.mark.parametrize("count", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("measured", [(0,), (0, 1), (0, 1, 2)])
+    def test_block_walk_equals_the_whole_draw_bitwise(self, measured, count):
+        # The blocks the Monte Carlo estimator reads: X rows of the whole X array and P blocks
+        # from one reused buffer, copied out as they come, against sample_outcomes bit for bit.
+        dist = outcome_distribution(ChainParams(n_sites=100, alpha=0.9), MeasurementSpec(measured_sites=measured))
+        xs, p_blocks = _outcome_blocks(dist, seed=5, count=count)
+        bounds, x_rows, p_rows = [], [], []
+        for start, stop, p in p_blocks:
+            bounds.append((start, stop))
+            x_rows.append(xs[start:stop])
+            p_rows.append(p.copy())
+        assert bounds == _row_blocks(count)
+        xs_ref, ps_ref = sample_outcomes(dist, seed=5, count=count)
+        np.testing.assert_array_equal(np.concatenate(x_rows), xs_ref)
+        np.testing.assert_array_equal(np.concatenate(p_rows), ps_ref)
 
     def test_decoupled_sample_covariance(self):
         params = ChainParams(n_sites=4, alpha=0.0)
