@@ -5,13 +5,16 @@ is checking:
 
 * a general-dyne conditioning update that derives the post-measurement
   covariance and the outcome-to-mean gains directly from the ground
-  covariance of the whole chain, and a Monte Carlo estimator that replays
-  the protocol (sample outcome, condition, displace, read off the target
-  energy) sample by sample, evaluating several plans on one draw.  It
-  holds the X half of the draw whole and reads the P half in cache-sized
+  covariance (of the whole chain, or of any set of sites, since a
+  Gaussian marginal is the exact sub-block), and a Monte Carlo estimator
+  that replays the protocol (sample outcome, condition, displace, read
+  off the target energy) sample by sample, evaluating several plans on
+  one draw.  It conditions only the group, the target and the target's
+  unmeasured neighbors, and reads both halves of the draw in cache-sized
   blocks of rows as they are drawn, pooling each block's count, mean and
-  centred sum of squares exactly, so X is the only array as long as the
-  draw.  The conditioning runs sector by sector, positions on X and
+  centred sum of squares exactly: neither half is held whole, so its
+  working set is one block at any sample count and any chain size.  The
+  conditioning runs sector by sector, positions on X and
   momenta on P: the state and the detector noise have no q-p
   cross-covariance, so the joint 2n x 2n update is block-diagonal and
   equals the two sector updates exactly.  The sector update also runs on
@@ -39,10 +42,10 @@ from itertools import product
 import numpy as np
 from scipy.linalg import eigh
 
-from .chain_model import ChainParams, correlation_vectors, ground_covariance
+from .chain_model import ChainParams, correlation_submatrices, correlation_vectors, ground_covariance
 from .gaussian_state import CovarianceMatrix, NumericsError, _mode_indices, _symmetrized, log_negativity
 from .gaussian_state import reduce, symplectic_eigenvalues
-from .povm_measurement import MeasurementSpec, _outcome_blocks, _schur_complement, outcome_distribution
+from .povm_measurement import MeasurementSpec, _check_sites, _outcome_blocks, _schur_complement, outcome_distribution
 from .povm_measurement import post_measurement_covariance, quarter_inverse, unmeasured_sites
 from .qet_protocol import DisplacementPlan, build_quadratics, optimal_plan, optimized_energy
 
@@ -133,10 +136,15 @@ def monte_carlo_energy(
     quantity is exactly the displacement energy that the analytic
     quadratic form minimizes).
 
-    The draw is read in blocks of rows: X is drawn whole first, then each
-    block of P is drawn into one reused buffer and read with its X rows
-    before the next is drawn (see povm_measurement._outcome_blocks), so
-    the stream and the bits are those of sample_outcomes.  Per block, each
+    Only the group, the target and the target's unmeasured neighbors are
+    conditioned (at most |A| + 3 sites, from their ground sub-block), and
+    the site checks cost O(|A|), so past the correlator vectors no work
+    grows with the chain size.
+
+    The draw is read in blocks of rows: each block of X and of P is drawn
+    into a reused buffer and read before the next is drawn, so neither
+    half is held whole (see povm_measurement._outcome_blocks), and the
+    stream and the bits are those of sample_outcomes.  Per block, each
     mean is one matvec on X or on P and the energy is formed in place; the
     block's count, mean and centred sum of squares are merged into the
     plan's running totals by the pairwise update of Chan, Golub and
@@ -150,34 +158,40 @@ def monte_carlo_energy(
         raise ValueError("plan length does not match the measured group")
     g, h = correlation_vectors(params.n_sites, params.alpha)
     alpha = params.alpha
-    rest = unmeasured_sites(params, spec)
-    if target_site not in rest:
+    measured = spec.measured_sites
+    _check_sites(params, spec)
+    if not 0 <= target_site < params.n_sites or target_site != int(target_site) or target_site in measured:
         raise ValueError(f"target site {target_site} is not unmeasured")
-    pos = {s: i for i, s in enumerate(rest)}
-    upd = general_dyne_update(ground_covariance(params), spec.measured_sites, params.omega)
+    # A Gaussian marginal is the exact sub-block, so conditioning the sites
+    # read below on the group alone gives the same gains and covariances.
+    neighbor_sites = ((target_site - 1) % params.n_sites, (target_site + 1) % params.n_sites)
+    kept = [target_site] + [s for s in neighbor_sites if s not in measured]
+    sites = list(measured) + kept
+    upd = general_dyne_update(CovarianceMatrix(*correlation_submatrices(params, sites, sites)),
+                              range(len(measured)), params.omega)
     cond = upd.conditional_covariance
+    pos = {s: i for i, s in enumerate(kept)}  # rows of the gains and the conditional blocks
 
     b = pos[target_site]
     # Coefficients on X of the summed neighbor position means: a gain row for
     # an unmeasured neighbor; for a measured one the outcome itself, since its
     # post-measurement mean is X and it carries no covariance with the target.
-    neighbor_x = np.zeros(len(spec.measured_sites))
+    neighbor_x = np.zeros(len(measured))
     constant = 0.5 * (cond.q[b, b] + cond.p[b, b])
     constant -= 0.5 * (h[0] + g[0]) - alpha * g[1]  # ground-state value
-    for s in ((target_site - 1) % params.n_sites, (target_site + 1) % params.n_sites):
+    for s in neighbor_sites:
         if s in pos:
             neighbor_x += upd.gain_x[pos[s]]
             constant -= (alpha / 2.0) * cond.q[b, pos[s]]
         else:
-            neighbor_x[spec.measured_sites.index(s)] += 1.0
+            neighbor_x[measured.index(s)] += 1.0
 
     # Every plan reads the same blocks and the same neighbor means, and its
     # own vectors otherwise, so its result does not depend on the other plans.
-    xs, p_blocks = _outcome_blocks(outcome_distribution(params, spec), seed, n_samples)
+    blocks = _outcome_blocks(outcome_distribution(params, spec), seed, n_samples)
     gains = [(upd.gain_x[b] + plan.phi, upd.gain_p[b] + plan.theta) for plan in plans]
     totals = [(0, 0.0, 0.0)] * len(plans)
-    for start, stop, p in p_blocks:
-        x = xs[start:stop]
+    for start, stop, x, p in blocks:
         neighbors = np.dot(x, neighbor_x)
         for i, (gain_q, gain_p) in enumerate(gains):
             mean_q_b, energy = np.dot(x, gain_q), np.dot(p, gain_p)
@@ -243,8 +257,19 @@ def _symmetric_hamiltonian(alpha: float, cutoff: int, a: np.ndarray, b: np.ndarr
     q = _position_operator(cutoff)
     qa, qb = q[:, a], q[:, b]  # row gathers of these are q[a, c], q[b, d], q[a, d] and q[b, c]
     c = np.where(a == b, 0.5, np.sqrt(0.5))
-    coupling = 2.0 * np.outer(c, c) * (qa[a] * qb[b] + qb[a] * qa[b])
-    return np.diag(a + b + 1.0) - alpha * coupling
+    # In place, in the order of 2 c c^T (qa[a] qb[b] + qb[a] qa[b]), so that
+    # no more than three len(a)^2 arrays are alive at once.
+    h = qa[a]
+    h *= qb[b]
+    term = qb[a]
+    term *= qa[b]
+    h += term
+    np.multiply(c[:, None], c, out=term)  # np.outer(c, c)
+    term *= 2.0
+    h *= term
+    del term
+    h *= alpha
+    return np.subtract(np.diag(a + b + 1.0), h, out=h)
 
 
 def fock_ground_state(alpha: float, cutoff: int = 25) -> FockState:
@@ -266,7 +291,9 @@ def fock_ground_state(alpha: float, cutoff: int = 25) -> FockState:
     a, b = np.triu_indices(cutoff)
     even = (a + b) % 2 == 0
     a, b = a[even], b[even]  # the states s_ab = c_ab (|ab> + |ba>) with a <= b and a + b even
-    _, vec = eigh(_symmetric_hamiltonian(alpha, cutoff, a, b), subset_by_index=[0, 0])
+    h = _symmetric_hamiltonian(alpha, cutoff, a, b)
+    # h equals its transpose bit for bit, and LAPACK overwrites that Fortran-ordered view without a copy.
+    _, vec = eigh(h.T, subset_by_index=[0, 0], overwrite_a=True)
     amp = np.zeros((cutoff, cutoff))
     amp[a, b] = amp[b, a] = vec[:, 0] * np.where(a == b, 1.0, np.sqrt(0.5))  # <ab|s_ab> = <ba|s_ab>
     amp *= np.sign(amp.flat[np.argmax(np.abs(amp))])

@@ -54,14 +54,22 @@ class OutcomeDistribution:
 
 def unmeasured_sites(params: ChainParams, spec: MeasurementSpec) -> tuple[int, ...]:
     """Complement of the measured set, ascending; orders the rows of M."""
+    _check_sites(params, spec)
     measured = set(spec.measured_sites)
-    for s in measured:
+    return tuple(s for s in range(params.n_sites) if s not in measured)
+
+
+def _check_sites(params: ChainParams, spec: MeasurementSpec) -> None:
+    """Raise ValueError unless every measured site lies in [0, N) and one site stays unmeasured.
+
+    O(|A|): the sites of a MeasurementSpec are distinct, so once each lies
+    in range, some site stays unmeasured exactly when |A| < N.
+    """
+    for s in set(spec.measured_sites):
         if not 0 <= s < params.n_sites:
             raise ValueError(f"measured site {s} out of range for N={params.n_sites}")
-    rest = tuple(s for s in range(params.n_sites) if s not in measured)
-    if not rest:
+    if len(spec.measured_sites) >= params.n_sites:
         raise ValueError("at least one site must stay unmeasured")
-    return rest
 
 
 def build_m_matrix(params: ChainParams, spec: MeasurementSpec) -> np.ndarray:
@@ -125,7 +133,7 @@ def post_measurement_covariance(params: ChainParams, spec: MeasurementSpec) -> C
 def outcome_distribution(params: ChainParams, spec: MeasurementSpec) -> OutcomeDistribution:
     """Gaussian law of the measured amplitudes: ground correlations plus detector noise."""
     meas = list(spec.measured_sites)
-    unmeasured_sites(params, spec)  # validates the site range
+    _check_sites(params, spec)
     c_block, l_block = correlation_submatrices(params, meas, meas)
     eye = np.eye(len(meas))
     return OutcomeDistribution(
@@ -138,46 +146,55 @@ def sample_outcomes(dist: OutcomeDistribution, seed: int, count: int) -> tuple[n
     """Draw outcome vectors; rows of the returned (count, |A|) arrays pair up as (X, P).
 
     Deterministic for a given seed: standard normals are multiplied by the
-    Cholesky factors of the two covariances, X stream first.  Both halves
-    are held whole: X as _outcome_blocks draws it, P copied from its blocks.
-    The generator's stream runs on across blocks, and each block meets the
+    Cholesky factors of the two covariances, X stream first.  The two
+    arrays are copied from the blocks of _outcome_blocks.  The Monte Carlo
+    estimator reads that walk directly instead, so it holds neither half
+    whole, and it conditions only the target's neighborhood.  The
+    generator's stream runs on across blocks, and each block meets the
     same BLAS product as the whole array would, so the stream and the bits
     are those of the one-shot standard_normal((count, |A|)) @ cholesky.T.
     """
-    xs, p_blocks = _outcome_blocks(dist, seed, count)
+    blocks = _outcome_blocks(dist, seed, count)
+    xs = np.empty((count, dist.x_covariance.shape[0]))
     ps = np.empty_like(xs)
-    for start, stop, p in p_blocks:
+    for start, stop, x, p in blocks:
+        xs[start:stop] = x
         ps[start:stop] = p
     return xs, ps
 
 
 def _outcome_blocks(dist: OutcomeDistribution, seed: int, count: int):
-    """The draw of sample_outcomes with only X held whole: (xs, p_blocks).
+    """The draw of sample_outcomes, one block of rows at a time: yields (start, stop, x, p).
 
-    xs is the whole (count, |A|) X array, filled block by block (see
-    _row_blocks) from one reused block of normals.  p_blocks then draws P
-    on the same stream, one block at a time as it is iterated, and yields
-    (start, stop, p) with p holding P rows start:stop in one buffer that
-    the next block overwrites.
+    x and p hold the X and P rows start:stop of the draw (see _row_blocks)
+    in buffers that the next block overwrites, so neither half is held
+    whole.  Two generators run on the one stream of the seed: the P
+    cursor first skips the count * |A| normals that X takes, block by
+    block into the reused normals buffer, and then each block draws its X
+    rows on the X cursor and its P rows on the P cursor.  The Monte Carlo
+    estimator reads these blocks with the gains of the target's
+    neighborhood alone, so its working set is one block.  Checks count at
+    the call, not at the first block.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    m = dist.x_covariance.shape[0]
     blocks = _row_blocks(count)
-    normals = np.empty((max(stop - start for start, stop in blocks), m))
-
-    def draw(factor, out):
-        z = rng.standard_normal(out=normals[:len(out)])
-        # np.dot, not @: for one measured site matmul takes a slow (rows, 1) x (1, 1) loop.
-        return np.dot(z, factor, out=out)
-
+    normals = np.empty((max(stop - start for start, stop in blocks), dist.x_covariance.shape[0]))
     x_factor, p_factor = (np.linalg.cholesky(c).T for c in (dist.x_covariance, dist.p_covariance))
-    xs = np.empty((count, m))
-    for start, stop in blocks:
-        draw(x_factor, xs[start:stop])
-    p = np.empty_like(normals)
-    return xs, ((start, stop, draw(p_factor, p[:stop - start])) for start, stop in blocks)
+
+    def walk():
+        x_rng, p_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for start, stop in blocks:
+            p_rng.standard_normal(out=normals[:stop - start])
+        x, p = np.empty_like(normals), np.empty_like(normals)
+        for start, stop in blocks:
+            rows = stop - start
+            # np.dot, not @: for one measured site matmul takes a slow (rows, 1) x (1, 1) loop.
+            np.dot(x_rng.standard_normal(out=normals[:rows]), x_factor, out=x[:rows])
+            np.dot(p_rng.standard_normal(out=normals[:rows]), p_factor, out=p[:rows])
+            yield start, stop, x[:rows], p[:rows]
+
+    return walk()
 
 
 def _row_blocks(count: int) -> list[tuple[int, int]]:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -41,6 +43,7 @@ from qetchain.oracle import (
     two_mode_ground_covariance,
 )
 from qetchain.povm_measurement import _BLOCK_ROWS, _outcome_blocks, _schur_complement, build_m_matrix, quarter_inverse
+from qetchain.qet_protocol import setting1_columns
 
 
 # Every (alpha, cutoff) at which the tests, validate and the acceptance criteria solve the pair.
@@ -61,6 +64,13 @@ def full_basis_ground_state(alpha, cutoff):
     _, vec = eigh(h, subset_by_index=[0, 0])
     psi = vec[:, 0]
     return (psi * np.sign(psi[np.argmax(np.abs(psi))])).reshape(cutoff, cutoff)
+
+
+def timed(f, *args):
+    """Wall time of one call, in seconds."""
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
 
 
 def partial_transpose_log_negativity(amp):
@@ -454,6 +464,62 @@ class TestMonteCarloEnergy:
             tracemalloc.stop()
         assert peak <= 1.2 * (n_samples * len(measured) * 8)
 
+    @pytest.mark.parametrize("measured, target", [((0,), 2), ((0, 1, 2), 5)])
+    def test_traced_peak_does_not_grow_with_the_sample_count(self, measured, target):
+        # Neither half of the draw is held whole: one block of rows at any sample count.
+        params = ChainParams(n_sites=100, alpha=0.9)
+        spec = MeasurementSpec(measured_sites=measured)
+        plan = optimal_plan(build_quadratics(params, spec, target))
+        bumped = DisplacementPlan(theta=plan.theta * 1.1, phi=plan.phi)
+        monte_carlo_energy(params, spec, target, [plan, bumped], 1000, seed=1)  # fills the correlator cache
+        peaks = []
+        for n_samples in (200_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                monte_carlo_energy(params, spec, target, [plan, bumped], n_samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 1.5 * 2**20
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_agrees_with_setting1_at_a_million_sites(self, d):
+        # N = 2^20: only the target's neighborhood is conditioned, and no site list of length N
+        # is built, so the call costs what it costs at N = 100.  Seed 11 was fixed before the
+        # first run.
+        params = ChainParams(n_sites=2**20, alpha=ALPHA_PRESETS["a1"])
+        spec = MeasurementSpec(measured_sites=(0,))
+        energy, theta, phi, _, _ = setting1_columns(params, d, d)
+        plan = DisplacementPlan(theta=theta, phi=phi)
+        [(mean, se)] = monte_carlo_energy(params, spec, d + 1, [plan], 200_000, seed=11)
+        assert abs(mean - energy[0]) <= 3 * se
+        small = ChainParams(n_sites=100, alpha=ALPHA_PRESETS["a1"])
+        times = {}
+        for n, p in ((100, small), (2**20, params)):
+            times[n] = min(timed(monte_carlo_energy, p, spec, d + 1, [plan], 200_000, 11) for _ in range(3))
+        assert times[2**20] < 2 * times[100] + 0.05
+
+    @pytest.mark.parametrize("measured, target, message", [
+        ((8,), 2, "measured site 8 out of range for N=8"),
+        ((-1, 0), 2, "measured site -1 out of range for N=8"),
+        (tuple(range(8)), 2, "at least one site must stay unmeasured"),
+        ((0,), 0, "target site 0 is not unmeasured"),
+        ((0,), 8, "target site 8 is not unmeasured"),
+        ((0,), -1, "target site -1 is not unmeasured"),
+        ((0,), 2.5, "target site 2.5 is not unmeasured"),
+    ])
+    def test_site_errors_without_the_site_enumeration(self, measured, target, message):
+        params = ChainParams(n_sites=8, alpha=0.9)
+        spec = MeasurementSpec(measured_sites=measured)
+        plan = DisplacementPlan(theta=np.zeros(len(measured)), phi=np.zeros(len(measured)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            monte_carlo_energy(params, spec, target, [plan], 1000, seed=1)
+        if not message.startswith("target"):  # the same errors as the enumeration raises
+            for call in (unmeasured_sites, outcome_distribution):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call(params, spec)
+
     @pytest.mark.parametrize("target", [3, 5])  # 3 has a measured neighbor, 5 does not
     def test_shared_draw_equals_one_plan_calls(self, monkeypatch, target):
         params = ChainParams(n_sites=8, alpha=0.9, omega=0.7)
@@ -493,6 +559,30 @@ class TestFockGroundState:
         # variational limit: mean of the two normal-mode frequencies
         exact = (np.sqrt(0.1) + np.sqrt(1.9)) / 2
         assert energies[-1] == pytest.approx(exact, abs=1e-9)
+
+    def test_traced_peak_of_the_solve(self):
+        # Three 169 x 169 arrays at most while H is built, and LAPACK overwrites H in place.
+        fock_ground_state(0.9, cutoff=25)
+        tracemalloc.start()
+        try:
+            fock_ground_state(0.9, cutoff=25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.8 * 2**20
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 0.999])
+    def test_hamiltonian_equals_the_out_of_place_form_bitwise(self, alpha):
+        cutoff = 25
+        a, b = np.triu_indices(cutoff)
+        a, b = a[(a + b) % 2 == 0], b[(a + b) % 2 == 0]
+        q = reference_position_operator(cutoff)
+        qa, qb = q[:, a], q[:, b]
+        c = np.where(a == b, 0.5, np.sqrt(0.5))
+        expected = np.diag(a + b + 1.0) - alpha * (2.0 * np.outer(c, c) * (qa[a] * qb[b] + qb[a] * qa[b]))
+        got = oracle._symmetric_hamiltonian(alpha, cutoff, a, b)
+        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == np.ascontiguousarray(got.T).tobytes()  # what lets eigh read H.T
 
     @pytest.mark.parametrize("alpha,cutoff", GROUND_STATE_PAIRS)
     def test_symmetric_block_matches_full_basis(self, alpha, cutoff):

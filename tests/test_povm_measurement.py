@@ -174,17 +174,18 @@ class TestSampleOutcomes:
     @pytest.mark.parametrize("count", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
     @pytest.mark.parametrize("measured", [(0,), (0, 1), (0, 1, 2)])
     def test_block_walk_equals_the_whole_draw_bitwise(self, measured, count):
-        # The blocks the Monte Carlo estimator reads: X rows of the whole X array and P blocks
-        # from one reused buffer, copied out as they come, against sample_outcomes bit for bit.
+        # The blocks the Monte Carlo estimator reads: X and P rows from reused buffers, copied
+        # out as they come, against the one-shot single-generator draw bit for bit.
         dist = outcome_distribution(ChainParams(n_sites=100, alpha=0.9), MeasurementSpec(measured_sites=measured))
-        xs, p_blocks = _outcome_blocks(dist, seed=5, count=count)
         bounds, x_rows, p_rows = [], [], []
-        for start, stop, p in p_blocks:
+        for start, stop, x, p in _outcome_blocks(dist, seed=5, count=count):
             bounds.append((start, stop))
-            x_rows.append(xs[start:stop])
+            x_rows.append(x.copy())
             p_rows.append(p.copy())
         assert bounds == _row_blocks(count)
-        xs_ref, ps_ref = sample_outcomes(dist, seed=5, count=count)
+        rng = np.random.default_rng(5)
+        xs_ref = rng.standard_normal((count, len(measured))) @ np.linalg.cholesky(dist.x_covariance).T
+        ps_ref = rng.standard_normal((count, len(measured))) @ np.linalg.cholesky(dist.p_covariance).T
         np.testing.assert_array_equal(np.concatenate(x_rows), xs_ref)
         np.testing.assert_array_equal(np.concatenate(p_rows), ps_ref)
 
