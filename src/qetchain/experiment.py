@@ -6,6 +6,10 @@ against the antipodal target (setting2), and a system-size sweep at the
 maximal block ell = N/2 - 2 (size-sweep).  A sweep returns numpy columns,
 pure functions of the configuration, and floats are serialized with 12
 significant digits so that repeated runs produce byte-identical files.
+Setting 1 and the size sweep end in power-law fits, each the
+least-squares line through (ln x, ln y) in the centred two-pass form; the
+fit window, its order by x and ln x are formed once per sweep and shared
+by every quantity fitted on it.
 One setting1_columns call evaluates every separation of setting 1.
 Setting 2 collects the forms of one sequential bordered recursion over ell
 and evaluates setting2_terms once on them; a size-sweep row is the last
@@ -220,63 +224,90 @@ def sweep_size(config: RunConfig) -> SweepTable:
     return _block_table("N", np.array(config.n_list), energy, delta, "beta")
 
 
-def fit_power_law(points, with_offset: bool = False) -> PowerLawFit:
-    """Least-squares power law on log-log axes, through (n, 2) array-like (x, y) points.
+def _centred_line(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
+    """(slope, intercept, r^2) of the least-squares line v ~ slope * u + intercept.
 
-    Without offset: straight line through (ln x, ln y).  With offset: the
-    tail (last 10% of points by x, at least one) estimates the additive
-    floor as its mean y; the remaining points, at least 3, are fit after
-    subtracting it.  Raises ValueError when fewer than 3 distinct x remain
-    to fit, or when any residual to be logged is non-positive.
+    The two-pass centred form (Chan, Golub & LeVeque, 1983): with du and dv
+    the deviations from the means, slope = sum(du dv) / sum(du^2), and the
+    line passes through the means.  r^2 = 1 - rss / tss; flat data (tss = 0)
+    score 1 when the line meets them and 0 otherwise.
     """
-    pts = np.asarray(points, dtype=float).reshape(len(points), 2)  # ValueError unless (x, y) pairs
-    tail = max(1, round(0.1 * len(pts))) if with_offset else 0
-    if len(pts) - tail < 3:
-        raise ValueError(f"need at least {3 + tail} points, got {len(pts)}")
-    x, y = pts[np.argsort(pts[:, 0])].T
-    if np.any(x <= 0):
-        raise ValueError("abscissae must be positive")
+    u_mean, v_mean = u.sum() / u.size, v.sum() / v.size  # np.mean's sums, without its dispatch
+    du, dv = u - u_mean, v - v_mean
+    slope = (du @ dv) / (du @ du)
+    residual = dv - slope * du
+    rss, tss = residual @ residual, dv @ dv
+    if tss > 0:
+        r_squared = 1.0 - rss / tss
+    else:
+        r_squared = 1.0 if rss < 1e-20 else 0.0
+    return float(slope), float(v_mean - slope * u_mean), float(r_squared)
+
+
+def _fit_sorted(x: np.ndarray, y: np.ndarray, with_offset: bool, log_x: np.ndarray | None = None) -> PowerLawFit:
+    """fit_power_law's checks and fit on points sorted by x.
+
+    log_x, when given, is np.log(x), formed once by a caller that fits several quantities on the same x.
+    """
+    tail = max(1, round(0.1 * len(x))) if with_offset else 0
+    if len(x) - tail < 3:
+        raise ValueError(f"need at least {3 + tail} points, got {len(x)}")
+    if not (x[0] > 0 and x[-1] < np.inf):  # x is sorted, with any NaN last
+        raise ValueError("abscissae must be positive and finite")
     window = (float(x[0]), float(x[-1]))
+    log_x = np.log(x) if log_x is None else log_x
 
     offset = None
     if with_offset:
         offset = float(np.mean(y[-tail:]))
-        x, y = x[:-tail], y[:-tail] - offset
+        x, log_x, y = x[:-tail], log_x[:-tail], y[:-tail] - offset
     if (distinct := 1 + int(np.count_nonzero(np.diff(x)))) < 3:  # x is sorted; a repeat adds no rank
         raise ValueError(f"need at least 3 distinct abscissae, got {distinct}")
-    if np.any(y <= 0):
-        raise ValueError("non-positive values after offset subtraction; fit aborted")
+    after = " after offset subtraction" if with_offset else ""
+    if not np.isfinite(y).all():
+        raise ValueError(f"non-finite values{after}; fit aborted")
+    if (y <= 0).any():
+        raise ValueError(f"non-positive values{after}; fit aborted")
 
-    lx, ly = np.log(x), np.log(y)
-    design = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    residual = ly - design @ coef
-    total = np.sum((ly - ly.mean()) ** 2)
-    if total > 0:
-        r_squared = float(1.0 - np.sum(residual**2) / total)
-    else:
-        r_squared = 1.0 if np.sum(residual**2) < 1e-20 else 0.0
-    return PowerLawFit(
-        amplitude=float(np.exp(coef[1])),
-        exponent=float(coef[0]),
-        offset=offset,
-        r_squared=r_squared,
-        window=window,
-    )
+    exponent, log_amplitude, r_squared = _centred_line(log_x, np.log(y))
+    return PowerLawFit(amplitude=float(np.exp(log_amplitude)), exponent=exponent, offset=offset,
+                       r_squared=r_squared, window=window)
+
+
+def fit_power_law(points, with_offset: bool = False) -> PowerLawFit:
+    """Least-squares power law on log-log axes, through (n, 2) array-like (x, y) points.
+
+    Without offset: the least-squares line through (ln x, ln y), in the
+    centred form.  With offset: the tail (last 10% of points by x, at least
+    one) estimates the additive floor as its mean y; the remaining points,
+    at least 3, are fit after subtracting it.  Raises ValueError when an
+    abscissa is not positive or not finite, when fewer than 3 distinct x
+    remain to fit, or when any value to be logged is not finite or not
+    positive.
+    """
+    pts = np.asarray(points, dtype=float).reshape(len(points), 2)  # ValueError unless (x, y) pairs
+    x, y = pts[np.argsort(pts[:, 0])].T
+    return _fit_sorted(x, y, with_offset)
 
 
 def summary_fits(config: RunConfig, table: SweepTable) -> list[tuple[str, PowerLawFit | str]]:
-    """The fits of the mode's FITS entry over config.fit_window(), or a reason string when a fit is not defined."""
+    """The fits of the mode's FITS entry over config.fit_window(), or a reason string when a fit is not defined.
+
+    The window, the order by x and ln x are formed once for all of the mode's quantities.
+    """
     if config.mode not in FITS:
         return []
     x_column, _, quantities = FITS[config.mode]
     x = table.column(x_column).astype(float)
-    keep = _in_fit_window(x, *config.fit_window())
+    rows = np.flatnonzero(_in_fit_window(x, *config.fit_window()))
+    rows = rows[np.argsort(x[rows])]  # the window's rows in order of x
+    x = x[rows]
+    log_x = np.log(x)
     out: list[tuple[str, PowerLawFit | str]] = []
     for name, column, absolute, with_offset in quantities:
-        y = table.column(column)[keep]
+        y = table.column(column)[rows]
         try:
-            out.append((name, fit_power_law(np.column_stack([x[keep], np.abs(y) if absolute else y]), with_offset)))
+            out.append((name, _fit_sorted(x, np.abs(y) if absolute else y, with_offset, log_x)))
         except ValueError as exc:
             out.append((name, f"aborted: {exc}"))
     return out

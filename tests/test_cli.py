@@ -233,6 +233,15 @@ class TestExitCodes:
         assert capsys.readouterr().out.splitlines() == [
             f"{name} aborted: need at least 3 distinct abscissae, got 2" for name in ("delta_E_N", "E_B_abs", "beta")]
 
+    def test_uncoupled_size_sweep_aborts_every_fit(self, capsys):
+        # At alpha = 0 no pair is entangled and no energy is teleported: delta_E_N and E_B_abs are 0 at
+        # every N, and beta = E_B_abs / delta_E_N is NaN.
+        assert cli_main(["size-sweep", "--alpha", "0", "--n-list", "20,40,60,80,100"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "delta_E_N aborted: non-positive values; fit aborted",
+            "E_B_abs aborted: non-positive values after offset subtraction; fit aborted",
+            "beta aborted: non-finite values; fit aborted"]
+
     def test_setting2_names_a_size_too_small(self, capsys):
         assert cli_main(["setting2", "--n", "4"]) == 1
         out, err = capsys.readouterr()
@@ -434,6 +443,20 @@ class TestDeterministicOutput:
         assert cli_main(args + ["--out", str(out1)]) == 0
         assert cli_main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["setting1", "--n", "100", "--alpha", "a4", "--d-max", "40"],
+         ["E_B_abs 0.000490190884117 -3.05171998084 - 0.993607530246 10..40",
+          "delta_S_M 1.44439696513 -0.0830586365289 - 0.989654925051 10..40"]),
+        (["size-sweep", "--alpha", "a4", "--n-list", "20,40,60,80,100"],
+         ["delta_E_N 7.76450173668 -0.238178373931 - 0.999234521942 40..100",
+          "E_B_abs 5.70830963023 -3.18413609461 0.00206945171371 0.986573584501 40..100",
+          "beta 0.000294918073834 0.215793778252 - 0.996892089249 40..100"]),
+    ])
+    def test_readme_fit_lines(self, argv, lines, capsys):
+        # The fit lines of the README's commands, to the last printed digit.
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_fit_summary_lines(self, capsys, tmp_path):
         code = cli_main(["setting1", "--n", "30", "--alpha", "a4", "--d-max", "12",

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qetchain import (
     ALPHA_PRESETS,
@@ -105,7 +107,7 @@ class TestSummaryFits:
 
     def test_setting1_takes_no_abs_of_delta_s_m(self):
         fits = dict(summary_fits(RunConfig(mode="setting1"), self.setting1_table(delta_s_sign=-1.0)))
-        assert fits["delta_S_M"] == "aborted: non-positive values after offset subtraction; fit aborted"
+        assert fits["delta_S_M"] == "aborted: non-positive values; fit aborted"
         assert fits["E_B_abs"].exponent == pytest.approx(-2.5, rel=1e-12)
 
     def test_size_sweep_offset_only_on_the_energy(self):
@@ -188,6 +190,44 @@ class TestFitPowerLaw:
             fit_power_law([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
         with pytest.raises(ValueError):
             fit_power_law([(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (3.0, 3.0, 3.0)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_abort(self, bad):
+        points = [(float(x), 2.0 / x) for x in range(1, 11)]
+        with pytest.raises(ValueError, match="^non-finite values; fit aborted$"):
+            fit_power_law(points[:4] + [(5.0, bad)] + points[5:])
+        # A non-finite tail value makes the offset, and so every value fitted after subtracting it, non-finite.
+        with pytest.raises(ValueError, match="^non-finite values after offset subtraction; fit aborted$"):
+            fit_power_law(points[:-1] + [(10.0, bad)], with_offset=True)
+        for with_offset in (False, True):
+            with pytest.raises(ValueError, match="^abscissae must be positive and finite$"):
+                fit_power_law(points[:-1] + [(bad, 1.0)], with_offset=with_offset)
+
+    def test_names_the_offset_only_when_one_was_subtracted(self):
+        points = [(float(x), -1.0 / x) for x in range(1, 11)]
+        with pytest.raises(ValueError, match="^non-positive values; fit aborted$"):
+            fit_power_law(points)
+        with pytest.raises(ValueError, match="^non-positive values after offset subtraction; fit aborted$"):
+            fit_power_law(points, with_offset=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 1000), min_size=3, max_size=200, unique=True), st.floats(1e-3, 1e3),
+           st.floats(-4.0, 4.0), st.floats(-7.0, 7.0), st.floats(0.01, 0.1), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_agrees_with_polyfit(self, grid, scale, exponent, log_amplitude, noise, seed, shuffle):
+        # np.polyfit solves the same line through (ln x, ln y) by LAPACK's least squares: an independent route.
+        rng = np.random.default_rng(seed)
+        x = scale * np.sort(np.array(grid, dtype=float))
+        x = rng.permutation(x) if shuffle else x
+        y = np.exp(log_amplitude + exponent * np.log(x) + noise * rng.standard_normal(len(x)))
+        fit = fit_power_law(np.column_stack([x, y]))
+        lx, ly = np.log(x), np.log(y)
+        slope, intercept = np.polyfit(lx, ly, 1)
+        assert fit.exponent == pytest.approx(slope, abs=1e-10)
+        assert np.log(fit.amplitude) == pytest.approx(intercept, abs=1e-10)
+        rss, tss = np.sum((ly - (slope * lx + intercept)) ** 2), np.sum((ly - ly.mean()) ** 2)
+        assert fit.r_squared == pytest.approx(1.0 - rss / tss, abs=1e-12)
+        assert fit.window == (x.min(), x.max())
 
 
 class TestSweeps:
