@@ -36,6 +36,9 @@ class MeasurementSpec:
     measured_sites: tuple[int, ...]
 
     def __post_init__(self):
+        for s in self.measured_sites:
+            if s != int(s):
+                raise ValueError(f"measured site {s} is not an integer")
         sites = tuple(int(s) for s in self.measured_sites)
         if not sites:
             raise ValueError("measured_sites must be non-empty")

@@ -19,11 +19,27 @@ phi = -T_q^{-1} J_q extracts
 
 strictly negative whenever either coupling vector is nonzero.
 
-Two standard site layouts are provided, and each row is a closed form in a
-few correlators; no N x N state is built.
+group_forms is the general layout, for any measured group A and any
+targets b outside it: dp = J^T T_p^{-1} J, dq = g_bA^T T_q^{-1} g_Ab and
+jq = J^T T_q^{-1} J, with T_p = H_AA + omega/2 and T_q = G_AA + 1/(2 omega)
+(the outcome covariances of outcome_distribution) and J = h_{A,b}, from one
+Cholesky factor of each form.  build_quadratics is its one-target view.
+After the measurement the measured sites are coherent states in product
+with the rest and the unmeasured sites stay pure, so the target against
+the other N - 1 sites is a pure split.  Such a split is locally two-mode
+squeezed (Botero and Reznik, PRA 67, 052311 (2003)): with nu^2 = Q_bb P_bb
+at the target, E_N = arccosh(2 nu) / ln 2 and S_M = 2 S(nu).  Before the
+measurement nu_0^2 = g_0 h_0; after it nu_1^2 = (g_0 - dq)(h_0 - dp).  So
+setting2_terms turns (dp, dq, jq) into E_opt = -(dp + jq) / 2 and delta E_N
+for every layout.  A target beside the group has a bond to a measured
+site, which after the measurement sits at its outcome; J_q = h_{A,b} misses
+that bond, so only a target with no measured neighbour gets its true forms.
 
-* run_setting1 measures site 0 and targets site r = d + 1, so every form
-  above is 1 x 1 and each row is a scalar formula in g_0, h_0, g_r, h_r:
+Two layouts have closed forms in a few correlators, with no N x N state
+built; the engine is their dense reference.
+
+* run_setting1 is the 1 x 1 case: it measures site 0 and targets site
+  r = d + 1, and each row is a scalar formula in g_0, h_0, g_r, h_r:
   theta = -h_r / (h_0 + omega/2), phi = -h_r / (g_0 + 1/(2 omega)) and
   E_opt = -(1/2) h_r^2 (1/(h_0 + omega/2) + 1/(g_0 + 1/(2 omega))).  The
   ground pair is mirror-symmetric, so its sum and difference modes
@@ -34,13 +50,8 @@ few correlators; no N x N state is built.
   setting1_columns evaluates these formulas for a whole range of d as numpy
   columns over the slices g[1 + d], h[1 + d]; run_setting1 is its
   one-element slice.
-* run_setting2 measures the block {0..2 ell} and splits the pure chain
-  into the antipodal target against the other N - 1 sites.  Such a split
-  is locally two-mode squeezed (Botero and Reznik, PRA 67, 052311 (2003)):
-  with nu^2 = Q_bb P_bb at the target, E_N = arccosh(2 nu) / ln 2 and
-  S_M = 2 S(nu).  Before the measurement nu_0^2 = g_0 h_0; after it
-  nu_1^2 = (g_0 - dq)(h_0 - dp) with dp = J^T T_p^{-1} J and
-  dq = g_bA^T T_q^{-1} g_Ab.  The block is contiguous, so T_p and T_q are
+* run_setting2 is the centred block: it measures {0..2 ell} and targets the
+  antipodal site N/2 + ell.  The block is contiguous, so T_p and T_q are
   symmetric Toeplitz, and one row is two Levinson solves in O(ell^2).
 * setting2_forms gives the same three quadratic forms for every ell = 1..hi
   from one bordered recursion.  Shifted to {-ell..ell}, the block puts the
@@ -60,12 +71,16 @@ few correlators; no N x N state is built.
   SIAM J. Sci. Stat. Comput. 1, 303 (1980)); the tests hold it to
   run_setting2 near the critical point.
 
-The entanglement consumed in setting 2 bounds the energy extracted:
-delta E_N >= c |E_opt|, with x = 2 nu_0 and
+The entanglement consumed bounds the energy extracted, for any measured
+group and any target with no measured neighbour: delta E_N >= c |E_opt|,
+with x = 2 nu_0 and
 
     c = 2 arcsinh(1/2) / ((1 + omega sqrt(1 + alpha)) x sqrt(x^2 - 1) h_0 ln 2),
 
-in three steps on the quantities setting2_terms reads.
+in three steps on the quantities setting2_terms reads.  Each uses only
+Cauchy interlacing on the principal submatrices H_AA and G_AA, the
+target's physicality after the measurement, and the pure 1 vs N - 1
+split, so none needs the block to be contiguous.
 
 1. jq <= omega sqrt(1 + alpha) dp.  H and G have eigenvalues omega_k / 2
    and 1 / (2 omega_k), so by Cauchy interlacing T_p <= (sqrt(1 + alpha)
@@ -88,8 +103,8 @@ point and at large omega it is loose.
 
 The full-state route (ground_covariance, post_measurement_covariance,
 log_negativity, mutual_information) and the dense quadratic forms
-(build_quadratics, optimal_plan, optimized_energy) stay in the package as
-the oracles these closed forms are tested against.
+(group_forms, build_quadratics, optimal_plan, optimized_energy) stay in the
+package as the oracles these closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -101,7 +116,7 @@ import numpy as np
 
 from .chain_model import ChainParams, correlation_submatrices, correlation_vectors
 from .gaussian_state import PHYSICALITY_TOL, NumericsError, _entropy_terms
-from .povm_measurement import MeasurementSpec
+from .povm_measurement import MeasurementSpec, outcome_distribution
 
 
 @dataclass(frozen=True)
@@ -153,34 +168,58 @@ class QetReport:
         return self.s_m_before - self.s_m_after
 
 
+def group_forms(params: ChainParams, spec: MeasurementSpec, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dp, dq, jq) of setting2_terms for one measured group and each of targets, as columns.
+
+    One gather of J = h_{A,b} and g_{A,b}, one Cholesky factor each of T_p
+    and T_q.  J_q = h_{A,b} misses a target's bond to a measured neighbour,
+    so only a target with no measured neighbour gets its true forms.
+    """
+    t_p, t_q, j, g_ab = _group_blocks(params, spec, targets)
+    t_p_inv_j = _cho_solve(t_p, j)
+    t_q_inv_j, t_q_inv_g_ab = np.split(_cho_solve(t_q, np.hstack([j, g_ab])), 2, axis=1)
+    return (np.einsum("at,at->t", j, t_p_inv_j), np.einsum("at,at->t", g_ab, t_q_inv_g_ab),
+            np.einsum("at,at->t", j, t_q_inv_j))
+
+
+def _group_blocks(params: ChainParams, spec: MeasurementSpec, targets) -> tuple[np.ndarray, ...]:
+    """T_p and T_q (the outcome covariances), and the (|A|, len(targets)) couplings J = h_{A,b} and g_{A,b}.
+
+    Raises ValueError for a target that is not an integer or lies in the group.
+    """
+    for t in targets:
+        if t != int(t):
+            raise ValueError(f"target site {t} is not an integer")
+        if t in spec.measured_sites:
+            raise ValueError(f"target site {t} is inside the measured group")
+    g_ab, j = correlation_submatrices(params, spec.measured_sites, targets)
+    dist = outcome_distribution(params, spec)
+    return dist.p_covariance, dist.x_covariance, j, g_ab
+
+
 def build_quadratics(params: ChainParams, spec: MeasurementSpec, target_site: int) -> QetQuadratics:
-    """Assemble T_p, T_q, J_p, J_q for a target outside the measured group."""
-    if target_site in spec.measured_sites:
-        raise ValueError(f"target site {target_site} is inside the measured group")
-    meas = list(spec.measured_sites)
-    g, h = correlation_submatrices(params, meas, meas + [target_site])  # columns: group, then target
-    eye = np.eye(len(meas))
-    t_p = h[:, :-1] + (params.omega / 2.0) * eye
-    t_q = g[:, :-1] + eye / (2.0 * params.omega)
-    j = h[:, -1]
-    return QetQuadratics(t_p=t_p, t_q=t_q, j_p=j, j_q=j)
+    """T_p, T_q, J_p, J_q for a target outside the measured group: group_forms' blocks for one target."""
+    t_p, t_q, j, _ = _group_blocks(params, spec, [target_site])
+    return QetQuadratics(t_p=t_p, t_q=t_q, j_p=j[:, 0], j_q=j[:, 0])
+
+
+def _cho_solve(t: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """T^{-1} rhs for symmetric positive definite T, by one Cholesky factor."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    return cho_solve(cho_factor(t), rhs)
 
 
 def optimal_plan(quadratics: QetQuadratics) -> DisplacementPlan:
     """The unique minimizer of the displacement energy form."""
-    from scipy.linalg import cho_factor, cho_solve
-
-    theta = -cho_solve(cho_factor(quadratics.t_p), quadratics.j_p)
-    phi = -cho_solve(cho_factor(quadratics.t_q), quadratics.j_q)
-    return DisplacementPlan(theta=theta, phi=phi)
+    return DisplacementPlan(theta=-_cho_solve(quadratics.t_p, quadratics.j_p),
+                            phi=-_cho_solve(quadratics.t_q, quadratics.j_q))
 
 
 def optimized_energy(quadratics: QetQuadratics) -> float:
     """Minimum of the displacement energy: -(1/2) J^T T^{-1} J summed over both channels."""
-    from scipy.linalg import cho_factor, cho_solve
-
-    p_part = quadratics.j_p @ cho_solve(cho_factor(quadratics.t_p), quadratics.j_p)
-    q_part = quadratics.j_q @ cho_solve(cho_factor(quadratics.t_q), quadratics.j_q)
+    p_part = quadratics.j_p @ _cho_solve(quadratics.t_p, quadratics.j_p)
+    q_part = quadratics.j_q @ _cho_solve(quadratics.t_q, quadratics.j_q)
     return float(-0.5 * (p_part + q_part))
 
 
@@ -273,14 +312,7 @@ def run_setting2(params: ChainParams, ell: int) -> QetReport:
     half = params.n_sites // 2
     if not 1 <= ell <= half - 2:
         raise ValueError(f"ell must lie in [1, N/2 - 2] = [1, {half - 2}], got {ell}")
-    g, h = correlation_vectors(params.n_sites, params.alpha)
-    size = 2 * ell + 1
-    to_target = half + ell - np.arange(size)
-    j, g_b = h[to_target], g[to_target]
-    t_p = h[:size].copy()
-    t_p[0] += params.omega / 2.0
-    t_q = g[:size].copy()
-    t_q[0] += 1.0 / (2.0 * params.omega)
+    g, h, t_p, t_q, j, g_b = _centred_block(params, ell)
     t_p_inv_j = solve_toeplitz(t_p, j)
     t_q_inv_j, t_q_inv_g_b = solve_toeplitz(t_q, np.column_stack([j, g_b])).T
     x2m1 = target_x2m1(g, h)
@@ -309,17 +341,27 @@ def setting2_forms(params: ChainParams, hi: int) -> Iterator[tuple[float, float,
     half = params.n_sites // 2
     if not 0 <= hi <= half - 2:
         raise ValueError(f"hi must lie in [0, N/2 - 2] = [0, {half - 2}], got {hi}")
-    g, h = correlation_vectors(params.n_sites, params.alpha)
-    # Right-hand sides h[N/2 - i] and g[N/2 - i] for i = -hi..hi, one per row.
-    j, g_b = h[half - hi:half + hi + 1], g[half - hi:half + hi + 1]
-    t_p = h[:2 * hi + 1].copy()
-    t_p[0] += params.omega / 2.0
-    t_q = g[:2 * hi + 1].copy()
-    t_q[0] += 1.0 / (2.0 * params.omega)
+    _, _, t_p, t_q, j, g_b = _centred_block(params, hi)
     p_side, q_side = _BorderedToeplitz(t_p, j[np.newaxis]), _BorderedToeplitz(t_q, np.vstack([j, g_b]))
     for _ in range(hi):
         (dp,), (jq, dq) = p_side.grow(), q_side.grow()
         yield dp, dq, jq
+
+
+def _centred_block(params: ChainParams, ell: int) -> tuple[np.ndarray, ...]:
+    """(g, h, t_p, t_q, J, g_b) of the block {0..2 ell} against the antipodal target N/2 + ell.
+
+    t_p and t_q are the first columns of the Toeplitz T_p and T_q, noise
+    included; J and g_b are h and g at N/2 - i for i = -ell..ell, palindromes
+    (g[r] == g[N - r] exactly), so either end may stand for measured site 0.
+    """
+    g, h = correlation_vectors(params.n_sites, params.alpha)
+    half, size = params.n_sites // 2, 2 * ell + 1
+    t_p = h[:size].copy()
+    t_p[0] += params.omega / 2.0
+    t_q = g[:size].copy()
+    t_q[0] += 1.0 / (2.0 * params.omega)
+    return g, h, t_p, t_q, h[half - ell:half + ell + 1], g[half - ell:half + ell + 1]
 
 
 class _BorderedToeplitz:

@@ -27,6 +27,17 @@ class TestMeasurementSpec:
         with pytest.raises(ValueError):
             MeasurementSpec(measured_sites=(0, 0))
 
+    @pytest.mark.parametrize("site", [1.7, 0.5, 2.5])
+    def test_non_integral_site_rejected(self, site):
+        # int() would truncate 1.7 to site 1.
+        with pytest.raises(ValueError, match=f"^measured site {site} is not an integer$"):
+            MeasurementSpec(measured_sites=(0, site))
+
+    @pytest.mark.parametrize("site", [2.0, np.int64(2)])
+    def test_integral_site_accepted(self, site):
+        sites = MeasurementSpec(measured_sites=(0, site)).measured_sites
+        assert sites == (0, 2) and all(type(s) is int for s in sites)
+
     def test_site_range_checked_against_params(self):
         params = ChainParams(n_sites=4, alpha=0.5)
         with pytest.raises(ValueError):
