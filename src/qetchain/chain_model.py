@@ -81,12 +81,17 @@ def correlation_submatrices(params: ChainParams, row_sites, col_sites) -> tuple[
 
     Returns (G_block, H_block) with G_block[a, b] = g at the periodic
     separation of row_sites[a] and col_sites[b], and likewise for h.  Every
-    site must lie in [0, N); none wraps.
+    site must be an integer (2.0 is site 2; 1.7 raises) in [0, N); none wraps.
     """
     n = params.n_sites
-    rows = np.asarray(list(row_sites), dtype=int)
-    cols = np.asarray(list(col_sites), dtype=int)
-    sites = np.concatenate([rows, cols])
+    row_sites = list(row_sites)
+    sites = np.asarray(row_sites + list(col_sites))
+    if sites.dtype.kind == "f":
+        fractional = ~(np.isfinite(sites) & (sites == np.trunc(sites)))
+        if fractional.any():
+            raise ValueError(f"site {sites[fractional.argmax()]} is not an integer")
+    sites = sites.astype(int, copy=False)
+    rows, cols = sites[:len(row_sites)], sites[len(row_sites):]
     outside = (sites < 0) | (sites >= n)
     if outside.any():
         raise ValueError(f"site index {sites[outside.argmax()]} out of range for N={n}")

@@ -73,11 +73,19 @@ class CovarianceMatrix:
 
 
 def _symmetrized(block: np.ndarray) -> np.ndarray:
-    """(B + B^T) / 2 of a block or a (..., n, n) stack of blocks, each symmetric within 1e-12."""
+    """(B + B^T) / 2 of a block or a (..., n, n) stack of blocks, each symmetric within 1e-12.
+
+    The check and the result share one new array: |B - B^T| is formed and
+    checked in it, then B + B^T overwrites it and is halved in place, so the
+    result is the out-of-place form bit for bit.  B itself is never written.
+    """
     block_t = np.swapaxes(block, -1, -2)
-    if np.abs(block - block_t).max() > SYMMETRY_TOL:
+    out = np.subtract(block, block_t)
+    if np.abs(out, out=out).max() > SYMMETRY_TOL:
         raise ValueError("covariance matrix is not symmetric within 1e-12")
-    return (block + block_t) / 2
+    np.add(block, block_t, out=out)
+    out /= 2
+    return out
 
 
 def _mode_indices(sites, n_modes: int) -> list[int]:

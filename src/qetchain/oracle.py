@@ -253,23 +253,30 @@ def _symmetric_hamiltonian(alpha: float, cutoff: int, a: np.ndarray, b: np.ndarr
     a = b, the entries are
 
         (a + b + 1) delta - 2 alpha c_ab c_cd (q[a, c] q[b, d] + q[a, d] q[b, c]).
+
+    q joins only neighboring levels, so the coupling of s_ab reaches at most
+    the four states (a +- 1, b +- 1), found through a (cutoff + 2)^2 table
+    of state indices.  Only those entries are written into diag(a + b + 1),
+    each by the multiplies and adds of the dense form in its order, so H is
+    the dense matrix bit for bit, symmetric exactly, and the one len(a)^2
+    array built.
     """
     q = _position_operator(cutoff)
-    qa, qb = q[:, a], q[:, b]  # row gathers of these are q[a, c], q[b, d], q[a, d] and q[b, c]
     c = np.where(a == b, 0.5, np.sqrt(0.5))
-    # In place, in the order of 2 c c^T (qa[a] qb[b] + qb[a] qa[b]), so that
-    # no more than three len(a)^2 arrays are alive at once.
-    h = qa[a]
-    h *= qb[b]
-    term = qb[a]
-    term *= qa[b]
-    h += term
-    np.multiply(c[:, None], c, out=term)  # np.outer(c, c)
-    term *= 2.0
-    h *= term
-    del term
-    h *= alpha
-    return np.subtract(np.diag(a + b + 1.0), h, out=h)
+    index = np.full((cutoff + 2, cutoff + 2), -1)  # index[x + 1, y + 1]: the state of levels {x, y}, or -1
+    index[a + 1, b + 1] = index[b + 1, a + 1] = np.arange(len(a))
+    h = np.diag(a + b + 1.0)
+    for da, db in product((-1, 1), repeat=2):
+        j = index[a + 1 + da, b + 1 + db]
+        i = np.flatnonzero(j >= 0)
+        j = j[i]
+        coupling = q[a[i], a[j]] * q[b[i], b[j]]
+        coupling += q[a[i], b[j]] * q[b[i], a[j]]
+        coupling *= c[i] * c[j] * 2.0
+        coupling *= alpha
+        # i != j, so this is 0 - coupling as in the dense form (+0.0, not -0.0, at alpha = 0).
+        h[i, j] = 0.0 - coupling
+    return h
 
 
 def fock_ground_state(alpha: float, cutoff: int = 25) -> FockState:

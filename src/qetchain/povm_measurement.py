@@ -97,8 +97,12 @@ def _schur_complement(h: np.ndarray, a: int, omega) -> np.ndarray:
     noise = (np.asarray(omega, dtype=float) / 2.0)[..., None, None] * np.eye(a)
     chol = np.linalg.cholesky(h[..., :a, :a] + noise)
     y = np.linalg.solve(chol, h[..., :a, a:])
-    m = h[..., a:, a:] - np.swapaxes(y, -1, -2) @ y
-    return (m + np.swapaxes(m, -1, -2)) / 2
+    # (m + m^T) / 2 is written over Y^T Y, which m no longer needs: two arrays of M's size at most.
+    out = np.swapaxes(y, -1, -2) @ y
+    m = h[..., a:, a:] - out
+    np.add(m, np.swapaxes(m, -1, -2), out=out)
+    out /= 2
+    return out
 
 
 def quarter_inverse(m: np.ndarray) -> np.ndarray:
@@ -110,7 +114,11 @@ def quarter_inverse(m: np.ndarray) -> np.ndarray:
     """
     c_inv = np.linalg.inv(np.linalg.cholesky(m))
     m_inv = np.swapaxes(c_inv, -1, -2) @ c_inv
-    return (m_inv + np.swapaxes(m_inv, -1, -2)) / 2 / 4.0
+    # (M^{-1} + M^{-T}) / 2 / 4 is written over C^{-1}, which M^{-1} no longer needs.
+    out = np.add(m_inv, np.swapaxes(m_inv, -1, -2), out=c_inv)
+    out /= 2
+    out /= 4.0
+    return out
 
 
 def post_measurement_covariance(params: ChainParams, spec: MeasurementSpec) -> CovarianceMatrix:

@@ -186,6 +186,22 @@ class TestCorrelationSubmatrices:
         with pytest.raises(ValueError, match=rf"^site index {first} out of range for N=4$"):
             correlation_submatrices(params, rows, cols)
 
+    @pytest.mark.parametrize("site", [1.7, 0.5])
+    def test_non_integral_site_rejected(self, site):
+        # An int cast would truncate the site to 1 or 0 and return that site's block.
+        params = ChainParams(n_sites=10, alpha=0.9)
+        for rows, cols in (([site], [3]), ([3], [site]), ([0, 2, site], [1, site])):
+            with pytest.raises(ValueError, match=f"^site {site} is not an integer$"):
+                correlation_submatrices(params, rows, cols)
+
+    @pytest.mark.parametrize("site", [2.0, np.int64(2)])
+    def test_integral_site_accepted(self, site):
+        params = ChainParams(n_sites=10, alpha=0.9)
+        got = correlation_submatrices(params, [site, 5], [0, site])
+        want = correlation_submatrices(params, [2, 5], [0, 2])
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
 
 class TestGroundCovariance:
     def test_decoupled_vacuum(self):
@@ -202,3 +218,8 @@ class TestGroundCovariance:
         v = ground_covariance(ChainParams(n_sites=n, alpha=alpha))
         nu = symplectic_eigenvalues(v)
         np.testing.assert_allclose(nu, 0.5, atol=1e-9)
+
+    def test_traced_peak(self, traced_peak):
+        # The G and H tables and their two symmetrized copies; a temporary per sector would make it five.
+        n = 400
+        assert traced_peak(ground_covariance, ChainParams(n_sites=n, alpha=0.9)) <= 4.3 * n * n * 8

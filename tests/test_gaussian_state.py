@@ -17,6 +17,7 @@ from qetchain import (
     symplectic_eigenvalues,
     von_neumann_entropy,
 )
+from qetchain.gaussian_state import _symmetrized
 
 A4 = 1.0 - 1e-7
 
@@ -99,6 +100,42 @@ class TestCovarianceMatrix:
             state.p[1, 1] = 5.0
         q[0, 0] = 5.0
         assert state.q[0, 0] == 1.0
+
+    def test_traced_peak_is_the_two_blocks(self, traced_peak):
+        # The two symmetrized blocks; a temporary for the check or the sum would make it three.
+        n = 400
+        q = np.add.outer(np.arange(n), np.arange(n)) / n
+        p = np.eye(n)
+        assert traced_peak(CovarianceMatrix, q, p) <= 2.2 * n * n * 8
+
+
+class TestSymmetrized:
+    @staticmethod
+    def nearly_symmetric(shape):
+        rng = np.random.default_rng(3)
+        block = rng.standard_normal(shape)
+        block += np.swapaxes(block, -1, -2)
+        block += 1e-14 * rng.standard_normal(shape)  # asymmetric below SYMMETRY_TOL
+        block.setflags(write=False)  # any write to the input raises
+        return block
+
+    @pytest.mark.parametrize("shape", [(9, 9), (12, 9, 9)])
+    def test_equals_the_out_of_place_form_bitwise(self, shape):
+        block = self.nearly_symmetric(shape)
+        before = block.tobytes()
+        got = _symmetrized(block)
+        assert got.tobytes() == ((block + np.swapaxes(block, -1, -2)) / 2).tobytes()
+        assert block.tobytes() == before
+        assert got.flags.writeable and not np.shares_memory(got, block)
+
+    @pytest.mark.parametrize("shape", [(9, 9), (12, 9, 9)])
+    def test_asymmetry_above_the_tolerance_raises(self, shape):
+        block = self.nearly_symmetric(shape).copy()
+        block[..., 2, 5] += 1e-11
+        before = block.tobytes()
+        with pytest.raises(ValueError, match="not symmetric within 1e-12"):
+            _symmetrized(block)
+        assert block.tobytes() == before
 
 
 class TestSymplecticEigenvalues:

@@ -1,8 +1,10 @@
 import itertools
+import json
 import math
 import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,8 @@ from qetchain.oracle import (
 from qetchain.povm_measurement import _BLOCK_ROWS, _outcome_blocks, _schur_complement, build_m_matrix, quarter_inverse
 from qetchain.qet_protocol import setting1_columns
 
+
+RECORDED = json.loads((Path(__file__).resolve().parent / "data" / "oracle_recorded.json").read_text())
 
 # Every (alpha, cutoff) at which the tests, validate and the acceptance criteria solve the pair.
 GROUND_STATE_PAIRS = [(0.0, 12), (0.5, 25), (0.9, 12), (0.9, 16), (0.9, 20), (0.9, 25)]
@@ -561,7 +565,7 @@ class TestFockGroundState:
         assert energies[-1] == pytest.approx(exact, abs=1e-9)
 
     def test_traced_peak_of_the_solve(self):
-        # Three 169 x 169 arrays at most while H is built, and LAPACK overwrites H in place.
+        # One 169 x 169 array for H, built from its nonzero couplings, and LAPACK overwrites H in place.
         fock_ground_state(0.9, cutoff=25)
         tracemalloc.start()
         try:
@@ -570,6 +574,10 @@ class TestFockGroundState:
         finally:
             tracemalloc.stop()
         assert peak <= 0.8 * 2**20
+
+    def test_traced_peak_is_one_hamiltonian(self, traced_peak):
+        # H is 0.22 MiB and LAPACK overwrites it; a dense build of the couplings needs three such arrays.
+        assert traced_peak(fock_ground_state, 0.9, 25) <= 0.35 * 2**20
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 0.999])
     def test_hamiltonian_equals_the_out_of_place_form_bitwise(self, alpha):
@@ -646,3 +654,38 @@ class TestFockLogNegativity:
         product /= np.sqrt(np.sum(product**2))
         state = FockState(cutoff=cutoff, amplitudes=product)
         assert abs(fock_log_negativity(state)) < 1e-8
+
+
+def from_hex(rows):
+    return np.array([[float.fromhex(x) for x in row] for row in rows])
+
+
+class TestRecordedValues:
+    """Bit-for-bit agreement with values recorded from the dense Hamiltonian and the
+    out-of-place symmetrization (tests/data/oracle_recorded.json names the platform)."""
+
+    @pytest.mark.parametrize("alpha,cutoff", [(0.5, 16), (0.9, 25)])
+    def test_fock_amplitudes(self, alpha, cutoff):
+        want = from_hex(RECORDED[f"fock_ground_state({alpha}, {cutoff})"])
+        assert fock_ground_state(alpha, cutoff).amplitudes.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,alpha,omega,group", [(10, 0.9, 0.7, (0, 3)), (8, 0.99, 2.0, (1,))])
+    def test_post_measurement_blocks(self, n, alpha, omega, group):
+        want = RECORDED[f"post_measurement_covariance(ChainParams({n}, {alpha}, {omega}), {group})"]
+        state = post_measurement_covariance(ChainParams(n, alpha, omega), MeasurementSpec(measured_sites=group))
+        assert state.q.tobytes() == from_hex(want["q"]).tobytes()
+        assert state.p.tobytes() == from_hex(want["p"]).tobytes()
+
+    def test_general_dyne_deviation(self):
+        # The grid of qetchain validate.
+        got = general_dyne_deviation((4, 6, 8, 12), (0.0, 0.5, 0.9, 0.99), (0.5, 1.0, 2.0), ((0,), (0, 1), (0, 2)))
+        assert got == float.fromhex(RECORDED["general_dyne_deviation(validate grid)"])
+
+
+class TestUnmeasuredPurityDeviation:
+    def test_traced_peak(self, traced_peak):
+        # The post-measurement state, its reduction and the symplectic solve, each block without
+        # temporaries; a temporary per symmetrized block makes it about seven.
+        n = 400
+        params, spec = ChainParams(n_sites=n, alpha=0.9), MeasurementSpec(measured_sites=(0,))
+        assert traced_peak(oracle.unmeasured_purity_deviation, params, spec) <= 6.3 * n * n * 8

@@ -14,7 +14,7 @@ from qetchain import (
     symplectic_eigenvalues,
     unmeasured_sites,
 )
-from qetchain.povm_measurement import _BLOCK_ROWS, _outcome_blocks, _row_blocks
+from qetchain.povm_measurement import _BLOCK_ROWS, _outcome_blocks, _row_blocks, _schur_complement, quarter_inverse
 
 A4 = 1.0 - 1e-7
 X_COV_FROZEN = 1.2359692387847989  # g0 + 1/2 at N=4, alpha=0.9, omega=1
@@ -61,6 +61,36 @@ class TestBuildMMatrix:
         m = build_m_matrix(params, MeasurementSpec(measured_sites=measured))
         assert np.abs(m - m.T).max() < 1e-12
         assert np.linalg.eigvalsh(m).min() > 0
+
+
+    @staticmethod
+    def momentum_stack(measured):
+        """Ground momentum blocks of a grid of points, measured sites first, and their omegas."""
+        points = [ChainParams(n_sites=10, alpha=alpha, omega=omega)
+                  for alpha in (0.0, 0.9, 0.99) for omega in (0.5, 2.0)]
+        sites = list(measured) + list(unmeasured_sites(points[0], MeasurementSpec(measured_sites=measured)))
+        h = np.stack([ground_covariance(params).p[np.ix_(sites, sites)] for params in points])
+        return h, np.array([params.omega for params in points])
+
+    @pytest.mark.parametrize("measured", [(0,), (1, 5, 7)])
+    def test_schur_complement_equals_the_out_of_place_form_bitwise(self, measured):
+        h, omega = self.momentum_stack(measured)
+        a = len(measured)
+        chol = np.linalg.cholesky(h[..., :a, :a] + (omega / 2.0)[:, None, None] * np.eye(a))
+        y = np.linalg.solve(chol, h[..., :a, a:])
+        m = h[..., a:, a:] - np.swapaxes(y, -1, -2) @ y
+        assert _schur_complement(h, a, omega).tobytes() == ((m + np.swapaxes(m, -1, -2)) / 2).tobytes()
+        assert _schur_complement(h[1], a, omega[1]).tobytes() == ((m[1] + m[1].T) / 2).tobytes()
+
+    @pytest.mark.parametrize("measured", [(0,), (1, 5, 7)])
+    def test_quarter_inverse_equals_the_out_of_place_form_bitwise(self, measured):
+        h, omega = self.momentum_stack(measured)
+        m = _schur_complement(h, len(measured), omega)
+        c_inv = np.linalg.inv(np.linalg.cholesky(m))
+        m_inv = np.swapaxes(c_inv, -1, -2) @ c_inv
+        expected = (m_inv + np.swapaxes(m_inv, -1, -2)) / 2 / 4.0
+        assert quarter_inverse(m).tobytes() == expected.tobytes()
+        assert quarter_inverse(m[1]).tobytes() == expected[1].tobytes()
 
 
 class TestPostMeasurementCovariance:
